@@ -191,8 +191,8 @@ int main() {
               pass_inc_ms, pass_full_ms, pass_full_ms - pass_inc_ms);
 
   double probe_ms[2] = {0.0, 0.0};
-  const engine::Backend kBackends[2] = {engine::Backend::kCholesky,
-                                        engine::Backend::kCg};
+  const thermal::Backend kBackends[2] = {thermal::Backend::kCholesky,
+                                        thermal::Backend::kCg};
   for (int k = 0; k < 2; ++k) {
     engine::EngineOptions opts;
     opts.backend = kBackends[k];
@@ -203,7 +203,7 @@ int main() {
                                        opts);
     probe_ms[k] = backend_probe_ms(context);
     std::printf("point solve via %-8s backend: %8.3f ms\n",
-                engine::backend_name(kBackends[k]), probe_ms[k]);
+                thermal::backend_name(kBackends[k]), probe_ms[k]);
   }
 
   // Numerical-health audit ablation: mean point-solve latency with the

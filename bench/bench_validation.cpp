@@ -21,38 +21,34 @@ int main() {
               "coarse n", "reference n");
 
   double worst = 0.0;
-  const auto run = [&](const std::string& name, const thermal::PackageModelOptions& opts,
+  const auto run = [&](const std::string& name, const TileMask& tecs,
                        const linalg::Vector& powers) {
-    auto rep = thermal::validate_against_reference(opts, powers);
+    auto rep = thermal::validate_against_reference(
+        thermal::PackageGeometry{}, tecs,
+        tec::TecDeviceParams::chowdhury_superlattice().thermal_link(), powers);
     std::printf("%-14s %10.3f %10.3f %12zu %12zu\n", name.c_str(), rep.max_abs_diff,
                 rep.mean_abs_diff, rep.coarse_nodes, rep.reference_nodes);
     return rep.max_abs_diff;
   };
-  const auto run_bare = [&](const std::string& name,
-                            const thermal::PackageModelOptions& opts,
-                            const linalg::Vector& powers) {
-    worst = std::max(worst, run(name, opts, powers));
+  const auto run_bare = [&](const std::string& name, const linalg::Vector& powers) {
+    worst = std::max(worst, run(name, TileMask(), powers));
   };
 
   // Bare packages — the paper's protocol ("steady state analysis without the
   // TEC devices"), whose published agreement is < 1.5 °C worst case.
-  thermal::PackageModelOptions bare;
-  run_bare("Alpha", bare, bench::worst_case_map(floorplan::alpha21364()));
+  run_bare("Alpha", bench::worst_case_map(floorplan::alpha21364()));
   for (std::size_t i : {std::size_t{2}, std::size_t{7}}) {
-    run_bare(floorplan::hypothetical_chip_name(i), bare,
+    run_bare(floorplan::hypothetical_chip_name(i),
              bench::worst_case_map(floorplan::hypothetical_chip(i)));
   }
 
   // Extension beyond the paper's protocol: with the greedy TEC deployment in
   // the stack (passive devices), the discrete device lumping adds a little
-  // extra discretization error at the covered tiles.
+  // extra discretization error at the covered tiles. The reference splits
+  // each device into refine² parallel sub-devices.
   const auto powers = bench::worst_case_map(floorplan::alpha21364());
   auto res = bench::design_with_fallback({"Alpha", powers});
-  thermal::PackageModelOptions with_tecs;
-  with_tecs.tec_tiles = res.deployment;
-  with_tecs.tec_link =
-      tec::TecDeviceParams::chowdhury_superlattice().thermal_link();
-  const double tec_diff = run("Alpha+TECs", with_tecs, powers);
+  const double tec_diff = run("Alpha+TECs", res.deployment, powers);
 
   std::printf("\nworst case, bare packages (paper protocol): %.3f degC "
               "(paper: < 1.5 degC)\n",

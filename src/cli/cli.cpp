@@ -115,10 +115,10 @@ std::optional<engine::EngineOptions> parse_engine_options(const ParsedArgs& p,
                                                           std::ostream& err) {
   engine::EngineOptions opts;
   if (auto it = p.options.find("--backend"); it != p.options.end()) {
-    auto backend = engine::parse_backend(it->second);
+    auto backend = thermal::parse_backend(it->second);
     if (!backend) {
       err << "error: unknown backend '" << it->second << "' (use "
-          << engine::backend_list() << ")\n";
+          << thermal::backend_list() << ")\n";
       return std::nullopt;
     }
     opts.backend = *backend;
@@ -141,8 +141,8 @@ struct ChipInput {
   linalg::Vector tile_powers;
   thermal::PackageGeometry geometry;
   /// Declarative package (--spec); null on the --chip / --flp paths. When
-  /// set, `geometry` is only meaningful for paper-equivalent specs and the
-  /// solver entry points must take the spec overloads instead.
+  /// set, `geometry` is unused and the solver entry points take the spec
+  /// overloads instead.
   std::shared_ptr<const thermal::StackSpec> spec;
   /// The chip's unit structure (built-in floorplan, rasterized .flp, or a
   /// spec's combined virtual-grid floorplan) for commands that need it.
@@ -179,7 +179,6 @@ std::optional<ChipInput> load_chip(const ParsedArgs& p, std::ostream& err) {
     input.name = spec->name;
     input.tile_powers = spec->tile_powers();
     input.plan = std::make_shared<const floorplan::Floorplan>(spec->combined_floorplan());
-    if (spec->paper_equivalent()) input.geometry = spec->to_geometry();
     input.spec = std::move(spec);
     return input;
   }
@@ -405,9 +404,8 @@ int cmd_version(const ParsedArgs&, std::ostream& out, std::ostream&) {
 int cmd_validate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   auto chip = load_chip(p, err);
   if (!chip) return 2;
-  thermal::PackageModelOptions opts;
-  opts.geometry = chip->geometry;
-  auto rep = thermal::validate_against_reference(opts, chip->tile_powers);
+  auto rep =
+      thermal::validate_against_reference(chip->geometry, {}, {}, chip->tile_powers);
   out << "coarse nodes: " << rep.coarse_nodes << ", reference nodes: " << rep.reference_nodes
       << "\n";
   out << "max |diff| = " << rep.max_abs_diff << " degC, mean |diff| = " << rep.mean_abs_diff
@@ -441,8 +439,7 @@ int cmd_spec(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
       << "chips: " << spec.chips.size() << ", dies: " << spec.dies().size()
       << ", virtual grid: " << spec.total_tile_rows() << "x" << spec.tile_cols()
       << "\n"
-      << "tec-capable sites: " << spec.tec_allowed_tiles().count()
-      << ", paper-equivalent: " << (spec.paper_equivalent() ? "yes" : "no") << "\n";
+      << "tec-capable sites: " << spec.tec_allowed_tiles().count() << "\n";
   return 0;
 }
 

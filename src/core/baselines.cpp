@@ -32,9 +32,10 @@ BaselineResult full_cover(const thermal::PackageGeometry& geometry,
                           const tec::TecDeviceParams& device,
                           const CurrentOptimizerOptions& options,
                           const engine::EngineOptions& engine_options) {
-  return run_with_deployment(geometry, tile_powers, device,
-                             TileMask::full(geometry.tile_rows, geometry.tile_cols),
-                             options, engine_options);
+  return full_cover(
+      std::make_shared<const thermal::StackSpec>(
+          thermal::StackSpec::single_die(geometry)),
+      tile_powers, device, options, engine_options);
 }
 
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,

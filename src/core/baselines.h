@@ -25,7 +25,8 @@ struct BaselineResult {
   double min_peak_temperature = 0.0;
 };
 
-/// TEC on every tile; current optimized (Table I "Full Cover").
+/// TEC on every tile; current optimized (Table I "Full Cover"). Delegates to
+/// the spec overload on StackSpec::single_die(geometry).
 BaselineResult full_cover(const thermal::PackageGeometry& geometry,
                           const linalg::Vector& tile_powers,
                           const tec::TecDeviceParams& device,
@@ -34,8 +35,7 @@ BaselineResult full_cover(const thermal::PackageGeometry& geometry,
 
 /// Spec-first full cover: a TEC on every TEC-capable interface site of the
 /// declarative package ("full" means every site that can physically carry a
-/// device, not every virtual tile). Paper-equivalent specs reproduce the
-/// geometry overload bit for bit.
+/// device, not every virtual tile).
 BaselineResult full_cover(std::shared_ptr<const thermal::StackSpec> spec,
                           const linalg::Vector& tile_powers,
                           const tec::TecDeviceParams& device,

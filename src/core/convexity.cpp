@@ -33,20 +33,8 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
   const double hi = options.lambda_fraction * *lm;
   const double dt = hi / double(options.subintervals);
 
-  // Silicon injection-slab node sets per tile (tile functional = mean of its
-  // subtile nodes).
-  const std::size_t rows = model.geometry().tile_rows;
-  const std::size_t cols = model.geometry().tile_cols;
-  std::vector<std::vector<std::size_t>> tile_nodes(rows * cols);
-  for (std::size_t t = 0; t < rows * cols; ++t) {
-    tile_nodes[t] = model.silicon_tile_nodes({t / cols, t % cols});
-  }
-
-  const auto tile_reduce = [&](const linalg::Vector& node_values, std::size_t t) {
-    double acc = 0.0;
-    for (std::size_t node : tile_nodes[t]) acc += node_values[node];
-    return acc / double(tile_nodes[t].size());
-  };
+  // Tile functional: the tile's silicon injection node.
+  const auto& tile_nodes = model.silicon_nodes();
 
   for (std::size_t seg = 0; seg < options.subintervals; ++seg) {
     const double it_lo = double(seg) * dt;
@@ -72,9 +60,9 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
         cert.solves += 1;
       }
 
-      for (std::size_t t = 0; t < rows * cols; ++t) {
-        const double phi =
-            r * tile_reduce(eta_i, t) + r * tile_reduce(lo.eta_prime, t) * i;
+      for (std::size_t t = 0; t < tile_nodes.size(); ++t) {
+        const std::size_t k = tile_nodes[t];
+        const double phi = r * eta_i[k] + r * lo.eta_prime[k] * i;
         if (phi < cert.min_functional) {
           cert.min_functional = phi;
           cert.worst_tile = t;

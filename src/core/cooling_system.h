@@ -23,8 +23,8 @@ struct DesignRequest {
   /// Declarative package description. When set it takes precedence over
   /// `geometry`: the design runs on the spec's virtual tile grid (all die
   /// grids stacked vertically) and greedy/full-cover deployment is clipped
-  /// to the spec's TEC-capable interface sites. Paper-equivalent specs
-  /// reproduce the geometry path bit for bit.
+  /// to the spec's TEC-capable interface sites. StackSpec::single_die(geometry)
+  /// reproduces the geometry path bit for bit.
   std::shared_ptr<const thermal::StackSpec> spec;
   /// Worst-case power per tile [W], row-major. With a spec, an empty vector
   /// means "use the spec's own power maps" (layer power_w / floorplans).

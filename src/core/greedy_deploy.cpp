@@ -133,15 +133,10 @@ GreedyDeployResult greedy_deploy(const thermal::PackageGeometry& geometry,
                                  const linalg::Vector& tile_powers,
                                  const tec::TecDeviceParams& device,
                                  const GreedyDeployOptions& options) {
-  validate_greedy_inputs(device, options);
-  TFC_SPAN("greedy_deploy");
-  // One solve context spans the whole greedy loop: the deployment only ever
-  // grows, so each pass extends the stamped network in place (engine
-  // incremental re-stamp) instead of reassembling from geometry.
-  engine::SolveContext context(geometry, TileMask(), tile_powers, device,
-                               options.engine);
-  return greedy_deploy_impl(
-      context, TileMask::full(geometry.tile_rows, geometry.tile_cols), options);
+  return greedy_deploy(
+      std::make_shared<const thermal::StackSpec>(
+          thermal::StackSpec::single_die(geometry)),
+      tile_powers, device, options);
 }
 
 GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
@@ -151,6 +146,9 @@ GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
   if (spec == nullptr) throw std::invalid_argument("greedy_deploy: null spec");
   validate_greedy_inputs(device, options);
   TFC_SPAN("greedy_deploy");
+  // One solve context spans the whole greedy loop: the deployment only ever
+  // grows, so each pass extends the stamped network in place (engine
+  // incremental re-stamp) instead of reassembling from the spec.
   engine::SolveContext context(spec, TileMask(), tile_powers, device, options.engine);
   return greedy_deploy_impl(context, spec->tec_allowed_tiles(), options);
 }

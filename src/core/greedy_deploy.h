@@ -65,7 +65,8 @@ struct GreedyDeployResult {
 };
 
 /// Run Figure 5 on the given chip. \p tile_powers is the worst-case per-tile
-/// power map [W], row-major over geometry's tile grid.
+/// power map [W], row-major over geometry's tile grid. Delegates to the spec
+/// overload on StackSpec::single_die(geometry).
 GreedyDeployResult greedy_deploy(const thermal::PackageGeometry& geometry,
                                  const linalg::Vector& tile_powers,
                                  const tec::TecDeviceParams& device,
@@ -75,7 +76,7 @@ GreedyDeployResult greedy_deploy(const thermal::PackageGeometry& geometry,
 /// virtual tile grid (all die grids stacked vertically, row-major). Candidate
 /// coverage is clipped to the spec's TEC-capable interface sites on every
 /// pass; deployment fails when the remaining over-limit tiles sit outside
-/// them. Paper-equivalent specs reproduce the geometry overload bit for bit.
+/// them.
 GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
                                  const linalg::Vector& tile_powers,
                                  const tec::TecDeviceParams& device,

@@ -45,14 +45,8 @@ OnDemandResult simulate_on_demand(
   thermal::TransientSolver on_stepper(system.system_matrix(i_on), cap, options.dt,
                                       off_stepper.symbolic());
 
-  // Precompute the per-tile silicon node lists and static RHS pieces.
-  const std::size_t rows = model.geometry().tile_rows;
-  const std::size_t cols = model.geometry().tile_cols;
-  const std::size_t f2 = model.refine() * model.refine();
-  std::vector<std::vector<std::size_t>> tile_nodes(rows * cols);
-  for (std::size_t t = 0; t < rows * cols; ++t) {
-    tile_nodes[t] = model.silicon_tile_nodes({t / cols, t % cols});
-  }
+  // Static RHS pieces.
+  const auto& tile_nodes = model.silicon_nodes();
   linalg::Vector ambient_rhs(n);
   for (std::size_t k = 0; k < n; ++k) {
     const double g = net.ambient_conductance(k);
@@ -61,13 +55,12 @@ OnDemandResult simulate_on_demand(
   const double joule = 0.5 * system.device().resistance * i_on * i_on;
 
   const auto rhs_for = [&](const linalg::Vector& tile_powers, bool on) {
-    if (tile_powers.size() != rows * cols) {
+    if (tile_powers.size() != tile_nodes.size()) {
       throw std::invalid_argument("simulate_on_demand: tile power size mismatch");
     }
     linalg::Vector rhs = ambient_rhs;
-    for (std::size_t t = 0; t < rows * cols; ++t) {
-      const double share = tile_powers[t] / double(f2);
-      for (std::size_t node : tile_nodes[t]) rhs[node] += share;
+    for (std::size_t t = 0; t < tile_nodes.size(); ++t) {
+      rhs[tile_nodes[t]] += tile_powers[t];
     }
     if (on) {
       for (std::size_t hot : model.hot_nodes()) rhs[hot] += joule;

@@ -4,22 +4,6 @@
 
 namespace tfc::engine {
 
-const char* backend_name(Backend backend) {
-  switch (backend) {
-    case Backend::kCholesky: return "cholesky";
-    case Backend::kCg: return "cg";
-  }
-  return "?";
-}
-
-std::optional<Backend> parse_backend(std::string_view name) {
-  if (name == "cholesky") return Backend::kCholesky;
-  if (name == "cg") return Backend::kCg;
-  return std::nullopt;
-}
-
-const char* backend_list() { return "cholesky|cg"; }
-
 namespace {
 
 std::string cg_message(std::size_t iterations, double rel_residual) {

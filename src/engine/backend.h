@@ -1,5 +1,6 @@
 /// \file backend.h
-/// \brief Runtime-selectable linear backends for the solve-engine layer.
+/// \brief Runtime-selectable linear backends and knobs of the solve-engine
+/// layer.
 ///
 /// Every steady-state solve in the library is a pencil solve
 /// (G − i·D)·θ = p(i); the backends differ only in how that SPD system is
@@ -7,37 +8,22 @@
 /// default (and the only backend used on the design probe path, where a
 /// failed factorization doubles as the λ_m positive-definiteness test); CG
 /// is the alternative for point solves — matrix-free style iteration for
-/// large refined grids. A dense LDLT backend existed through PR 5; audit
-/// residuals showed it numerically fine but inherently O(n³) dense at
-/// ~850 nodes (28.3 ms vs 1.2 ms sparse), with no grid size in the paper's
-/// range where dense wins, so it was cut rather than fixed.
+/// large refined grids. The backend enum itself lives in the thermal layer
+/// (thermal::Backend), which needs it for steady-state solves. A dense LDLT
+/// backend was cut: audit residuals showed it numerically fine but
+/// inherently O(n³) dense at ~850 nodes (28.3 ms vs 1.2 ms sparse), with no
+/// grid size in the paper's range where dense wins.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "obs/health.h"
 #include "tec/runaway.h"
+#include "thermal/steady_state.h"
 
 namespace tfc::engine {
-
-/// Linear backend for point solves (SolveContext::solve).
-enum class Backend {
-  kCholesky,  ///< sparse Cholesky, shared symbolic + numeric refactorize
-  kCg,        ///< Jacobi-preconditioned conjugate gradient
-};
-
-/// Stable lower-case name ("cholesky", "cg") for CLI/metrics/JSON.
-const char* backend_name(Backend backend);
-
-/// Parse a backend_name() string; nullopt for anything else.
-std::optional<Backend> parse_backend(std::string_view name);
-
-/// "cholesky|cg" — for CLI help and error messages.
-const char* backend_list();
 
 /// Thrown by the CG backend when the iteration cap is reached without
 /// convergence — a first-class signal (engine.cg.nonconverged counter, a
@@ -85,7 +71,7 @@ struct EngineOptions {
   /// method cannot certify loss of positive definiteness, and the direct
   /// factorization doubles as that probe — this is also what keeps
   /// `design --json` byte-identical across backends.
-  Backend backend = Backend::kCholesky;
+  thermal::Backend backend = thermal::Backend::kCholesky;
   /// CG backend: convergence ||r|| ≤ cg_rel_tol·||b|| and iteration cap.
   double cg_rel_tol = 1e-12;
   std::size_t cg_max_iterations = 20000;

@@ -19,18 +19,18 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Histogram name `engine.solve_ms{backend=...}`; built once per backend.
-const std::string& solve_histogram_name(Backend backend) {
+const std::string& solve_histogram_name(thermal::Backend backend) {
   static const std::string cholesky =
       obs::labeled_name("engine.solve_ms", {{"backend", "cholesky"}});
   static const std::string cg = obs::labeled_name("engine.solve_ms", {{"backend", "cg"}});
   switch (backend) {
-    case Backend::kCg: return cg;
-    case Backend::kCholesky: break;
+    case thermal::Backend::kCg: return cg;
+    case thermal::Backend::kCholesky: break;
   }
   return cholesky;
 }
 
-void record_solve(Backend backend, std::chrono::steady_clock::time_point t0) {
+void record_solve(thermal::Backend backend, std::chrono::steady_clock::time_point t0) {
   obs::MetricsRegistry::global()
       .histogram(solve_histogram_name(backend))
       .record(ms_since(t0));
@@ -52,60 +52,27 @@ SolveContext::SolveContext(const thermal::PackageGeometry& geometry,
                            const TileMask& deployment, const linalg::Vector& tile_powers,
                            const tec::TecDeviceParams& device, EngineOptions options,
                            std::size_t stages)
-    : options_(options),
-      geometry_(geometry),
-      tile_powers_(tile_powers),
-      stages_(stages),
-      deployment_(shaped(deployment, geometry)),
-      system_(tec::ElectroThermalSystem::assemble(geometry, deployment, tile_powers,
-                                                  device, stages)) {}
+    : SolveContext(std::make_shared<const thermal::StackSpec>(
+                       thermal::StackSpec::single_die(geometry)),
+                   deployment, tile_powers, device, options, stages) {}
 
 SolveContext::SolveContext(std::shared_ptr<const thermal::StackSpec> spec,
                            const TileMask& deployment, const linalg::Vector& tile_powers,
                            const tec::TecDeviceParams& device, EngineOptions options,
                            std::size_t stages)
     : options_(options),
-      tile_powers_(tile_powers),
-      stages_(stages),
-      system_(tec::ElectroThermalSystem::assemble_from_spec(*spec, deployment,
-                                                            tile_powers, device, stages)) {
-  // The model's geometry carries the spec's virtual tile grid (all die grids
-  // stacked vertically), so the grid-shaped members below stay meaningful.
-  geometry_ = system_.model().geometry();
-  deployment_ = shaped(deployment, geometry_);
-  // Paper-equivalent specs canonicalized to the legacy build; the model's
-  // spec() is null there, which routes rebuild() to the geometry path.
-  spec_ = system_.model().spec();
-}
+      system_(tec::ElectroThermalSystem::assemble_from_spec(*spec, deployment, tile_powers,
+                                                            device, stages)) {}
 
 SolveContext::SolveContext(tec::ElectroThermalSystem system, EngineOptions options)
-    : options_(options),
-      geometry_(system.model().geometry()),
-      spec_(system.model().spec()),
-      stages_(system.model().options().tec_stages),
-      deployment_(shaped(system.model().options().tec_tiles, system.model().geometry())),
-      system_(std::move(system)) {
-  // Recover the tile power map from the network for the full-rebuild
-  // fallback (the incremental path replays node powers exactly, so this is
-  // only consulted when a non-additive set_deployment forces a rebuild).
-  const auto& model = system_.model();
-  tile_powers_.resize(geometry_.tile_count());
-  for (std::size_t r = 0; r < geometry_.tile_rows; ++r) {
-    for (std::size_t c = 0; c < geometry_.tile_cols; ++c) {
-      double acc = 0.0;
-      for (std::size_t node : model.silicon_tile_nodes({r, c})) {
-        acc += model.network().power(node);
-      }
-      tile_powers_[r * geometry_.tile_cols + c] = acc;
-    }
-  }
-}
+    : options_(options), system_(std::move(system)) {}
 
 void SolveContext::extend(const TileMask& tiles) {
-  TileMask delta(geometry_.tile_rows, geometry_.tile_cols);
+  const thermal::PackageGeometry& grid = system_.model().geometry();
+  TileMask delta(grid.tile_rows, grid.tile_cols);
   bool any = false;
-  for (Tile t : shaped(tiles, geometry_).tiles()) {
-    if (!deployment_.test(t)) {
+  for (Tile t : shaped(tiles, grid).tiles()) {
+    if (!deployment().test(t)) {
       delta.set(t);
       any = true;
     }
@@ -114,7 +81,7 @@ void SolveContext::extend(const TileMask& tiles) {
   invalidate_runaway_cache();
 
   if (!options_.incremental_restamp) {
-    TileMask next = deployment_;
+    TileMask next = deployment();
     next |= delta;
     rebuild(next);
     return;
@@ -131,12 +98,11 @@ void SolveContext::extend(const TileMask& tiles) {
   linalg::SparseMatrix g = next.network().conductance_matrix_extended(
       system_.matrix_g(), remap.old_to_new, remap.dirty_rows);
   system_ = tec::ElectroThermalSystem(std::move(next), system_.device(), std::move(g));
-  deployment_ |= delta;
 }
 
 void SolveContext::set_deployment(const TileMask& deployment) {
-  const TileMask target = shaped(deployment, geometry_);
-  if (deployment_.subset_of(target)) {
+  const TileMask target = shaped(deployment, system_.model().geometry());
+  if (system_.model().deployment().subset_of(target)) {
     extend(target);
     return;
   }
@@ -147,12 +113,16 @@ void SolveContext::set_deployment(const TileMask& deployment) {
 void SolveContext::rebuild(const TileMask& deployment) {
   TFC_SPAN("engine_restamp_full");
   obs::MetricsRegistry::global().counter("engine.restamp.full").increment();
-  system_ = spec_ != nullptr
-                ? tec::ElectroThermalSystem::assemble_from_spec(
-                      *spec_, deployment, tile_powers_, system_.device(), stages_)
-                : tec::ElectroThermalSystem::assemble(geometry_, deployment, tile_powers_,
-                                                      system_.device(), stages_);
-  deployment_ = deployment;
+  // The tile power map lives on the silicon injection nodes (extend_tec
+  // replays node powers exactly), so it is read back from the network.
+  const thermal::PackageModel& model = system_.model();
+  const auto& nodes = model.silicon_nodes();
+  linalg::Vector tile_powers(nodes.size());
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    tile_powers[k] = model.network().power(nodes[k]);
+  }
+  system_ = tec::ElectroThermalSystem::assemble_from_spec(
+      *model.spec(), deployment, tile_powers, system_.device(), model.tec_stages());
 }
 
 void SolveContext::invalidate_runaway_cache() {
@@ -171,15 +141,15 @@ std::optional<double> SolveContext::probe_peak(double i) const {
     system_.model().tile_temperatures_into(ws->theta, ws->tiles);
     peak = linalg::max_entry(ws->tiles);
   }
-  record_solve(Backend::kCholesky, t0);
+  record_solve(thermal::Backend::kCholesky, t0);
   return peak;
 }
 
 std::optional<tec::OperatingPoint> SolveContext::solve_probe(double i) const {
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
-  auto op = system_.solve(i, {}, ws.get());
-  record_solve(Backend::kCholesky, t0);
+  auto op = system_.solve(i, ws.get());
+  record_solve(thermal::Backend::kCholesky, t0);
   if (op.has_value()) maybe_audit(*op);
   return op;
 }
@@ -188,11 +158,11 @@ std::optional<tec::OperatingPoint> SolveContext::solve(double i) const {
   return solve_backend(options_.backend, i);
 }
 
-std::optional<tec::OperatingPoint> SolveContext::solve_backend(Backend backend,
+std::optional<tec::OperatingPoint> SolveContext::solve_backend(thermal::Backend backend,
                                                                double i) const {
   switch (backend) {
-    case Backend::kCholesky: return solve_probe(i);
-    case Backend::kCg: return solve_cg(i);
+    case thermal::Backend::kCholesky: return solve_probe(i);
+    case thermal::Backend::kCg: return solve_cg(i);
   }
   return solve_probe(i);
 }
@@ -223,7 +193,7 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
   } catch (const std::invalid_argument&) {
     // A non-positive pencil diagonal certifies loss of positive
     // definiteness (i past λ_m pushes hot-node diagonals negative).
-    record_solve(Backend::kCg, t0);
+    record_solve(thermal::Backend::kCg, t0);
     return std::nullopt;
   }
   linalg::CgOptions co;
@@ -231,7 +201,7 @@ std::optional<tec::OperatingPoint> SolveContext::solve_cg(double i) const {
   co.max_iterations = options_.cg_max_iterations;
   const linalg::Vector b = system_.rhs(i);
   const linalg::CgResult r = linalg::conjugate_gradient(m, b, precond, co);
-  record_solve(Backend::kCg, t0);
+  record_solve(thermal::Backend::kCg, t0);
   if (!r.converged) {
     if (r.iterations < co.max_iterations) return std::nullopt;  // p·Ap ≤ 0 breakdown
     // First-class non-convergence signal: count it, leave a degraded audit

@@ -107,10 +107,6 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
       }
     }
   }
-  tile_nodes_.resize(plan.tile_count());
-  for (std::size_t t = 0; t < plan.tile_count(); ++t) {
-    tile_nodes_[t] = model.silicon_tile_nodes({t / cols, t % cols});
-  }
   const auto& net = model.network();
   ambient_rhs_ = linalg::Vector(model.node_count());
   for (std::size_t k = 0; k < model.node_count(); ++k) {
@@ -149,7 +145,6 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
                                double current) {
   TFC_SPAN("sim.rasterize");
   const auto& model = system_.model();
-  const std::size_t f2 = model.refine() * model.refine();
   const std::size_t tick = step % trace_.length();
 
   tile_power_scratch_.fill(0.0);
@@ -162,9 +157,9 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
   }
 
   rhs_scratch_ = ambient_rhs_;
-  for (std::size_t t = 0; t < tile_nodes_.size(); ++t) {
-    const double share = tile_power_scratch_[t] / double(f2);
-    for (std::size_t node : tile_nodes_[t]) rhs_scratch_[node] += share;
+  const auto& tile_nodes = model.silicon_nodes();
+  for (std::size_t t = 0; t < tile_nodes.size(); ++t) {
+    rhs_scratch_[tile_nodes[t]] += tile_power_scratch_[t];
   }
   if (current > 0.0) {
     const double joule = 0.5 * system_.device().resistance * current * current;

@@ -867,7 +867,7 @@ std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
   }, &cache_hit);
   info.cache = cache_hit ? 1 : 0;
   info.spec = session->spec_id;
-  info.backend = engine::backend_name(session->context->options().backend);
+  info.backend = thermal::backend_name(session->context->options().backend);
   return session;
 }
 
@@ -1301,7 +1301,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
   double drift = -1.0;
   try {
     const auto check =
-        session.context->solve_backend(engine::Backend::kCg, op.current);
+        session.context->solve_backend(thermal::Backend::kCg, op.current);
     if (check.has_value()) {
       double num = 0.0, den = 0.0;
       for (std::size_t k = 0; k < check->theta.size(); ++k) {

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "linalg/cholesky.h"
 #include "obs/trace.h"
 
 namespace tfc::tec {
@@ -56,25 +55,17 @@ ElectroThermalSystem ElectroThermalSystem::assemble(
     const thermal::PackageGeometry& geometry, const TileMask& deployment,
     const linalg::Vector& tile_powers, const TecDeviceParams& device,
     std::size_t stages) {
-  TFC_SPAN("assemble");
-  thermal::PackageModelOptions opts;
-  opts.geometry = geometry;
-  opts.tec_tiles = deployment;
-  opts.tec_link = device.thermal_link();
-  opts.tec_stages = stages;
-  thermal::PackageModel model = thermal::PackageModel::build(opts);
-  model.set_tile_powers(tile_powers);
-  const bool no_tec = deployment.grid_size() == 0 || deployment.empty();
-  return ElectroThermalSystem(std::move(model), device, /*allow_no_tec=*/no_tec);
+  return assemble_from_spec(thermal::StackSpec::single_die(geometry), deployment,
+                            tile_powers, device, stages);
 }
 
 ElectroThermalSystem ElectroThermalSystem::assemble_from_spec(
     const thermal::StackSpec& spec, const TileMask& deployment,
     const linalg::Vector& tile_powers, const TecDeviceParams& device,
     std::size_t stages) {
-  TFC_SPAN("assemble_from_spec");
+  TFC_SPAN("assemble");
   thermal::PackageModel model =
-      thermal::PackageModel::build_from_spec(spec, deployment, device.thermal_link(), stages);
+      thermal::PackageModel::build(spec, deployment, device.thermal_link(), stages);
   model.set_tile_powers(tile_powers);
   const bool no_tec = deployment.grid_size() == 0 || deployment.empty();
   return ElectroThermalSystem(std::move(model), device, /*allow_no_tec=*/no_tec);
@@ -165,8 +156,8 @@ void ElectroThermalSystem::rhs_into(double i, linalg::Vector& out) const {
   }
 }
 
-std::optional<OperatingPoint> ElectroThermalSystem::solve(
-    double i, const thermal::SteadyStateOptions& options, SolveWorkspace* ws) const {
+std::optional<OperatingPoint> ElectroThermalSystem::solve(double i,
+                                                          SolveWorkspace* ws) const {
   if (i < 0.0) return std::nullopt;
 
   TFC_SPAN("et_solve");
@@ -178,22 +169,8 @@ std::optional<OperatingPoint> ElectroThermalSystem::solve(
   SolveWorkspace local;
   SolveWorkspace& w = ws != nullptr ? *ws : local;
   rhs_into(i, w.rhs);
-  switch (options.backend) {
-    case thermal::SolverBackend::kSparseCholesky:
-    case thermal::SolverBackend::kConjugateGradient: {
-      // CG is unreliable near λ_m; the direct factorization doubles as the
-      // positive-definiteness probe, so use it for both back ends.
-      if (!factorize_into(i, w)) return std::nullopt;
-      w.factor.solve_into(w.rhs, op.theta, w.solve_scratch);
-      break;
-    }
-    case thermal::SolverBackend::kDenseCholesky: {
-      auto f = linalg::CholeskyFactor::factor(system_matrix(i).to_dense());
-      if (!f) return std::nullopt;
-      op.theta = f->solve(w.rhs);
-      break;
-    }
-  }
+  if (!factorize_into(i, w)) return std::nullopt;
+  w.factor.solve_into(w.rhs, op.theta, w.solve_scratch);
 
   op.tile_temperatures = model_.tile_temperatures(op.theta);
   op.peak_tile_temperature = linalg::max_entry(op.tile_temperatures);

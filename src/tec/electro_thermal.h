@@ -17,7 +17,6 @@
 #include "linalg/vector.h"
 #include "tec/device.h"
 #include "thermal/package_model.h"
-#include "thermal/steady_state.h"
 
 namespace tfc::tec {
 
@@ -96,19 +95,19 @@ class ElectroThermalSystem {
   ElectroThermalSystem(thermal::PackageModel model, TecDeviceParams device,
                        linalg::SparseMatrix g);
 
-  /// Convenience factory: build the package model for \p geometry with TECs
-  /// on \p deployment (may be empty), install \p tile_powers, and wrap it.
-  /// \p stages > 1 builds cascaded devices (see PackageModelOptions).
+  /// Convenience factory for the single-die package \p geometry: TECs on
+  /// \p deployment (may be empty), \p tile_powers installed. Same as
+  /// assemble_from_spec on StackSpec::single_die(geometry).
   static ElectroThermalSystem assemble(const thermal::PackageGeometry& geometry,
                                        const TileMask& deployment,
                                        const linalg::Vector& tile_powers,
                                        const TecDeviceParams& device,
                                        std::size_t stages = 1);
 
-  /// Spec-first variant of assemble: build the package model from a
-  /// declarative StackSpec (paper-equivalent specs take the byte-identical
-  /// legacy path; stacked/multi-chip specs the generic builder). The
-  /// deployment mask and \p tile_powers address the spec's virtual tile grid.
+  /// Build the package model for \p spec with TECs on \p deployment (may be
+  /// empty), install \p tile_powers, and wrap it. The deployment mask and
+  /// \p tile_powers address the spec's virtual tile grid. \p stages > 1
+  /// builds cascaded devices (see PackageModel::build).
   static ElectroThermalSystem assemble_from_spec(const thermal::StackSpec& spec,
                                                  const TileMask& deployment,
                                                  const linalg::Vector& tile_powers,
@@ -160,14 +159,13 @@ class ElectroThermalSystem {
   /// arithmetic to rhs().
   void rhs_into(double i, linalg::Vector& out) const;
 
-  /// Solve (G − i·D)θ = p(i). Returns nullopt when the matrix is no longer
-  /// positive definite (i ≥ λ_m: thermal runaway) or i < 0. Passing a
-  /// caller-owned \p ws reuses its pencil/factor/rhs buffers instead of
-  /// allocating per call (same arithmetic, bit-identical results); the
-  /// returned OperatingPoint still owns its vectors.
-  std::optional<OperatingPoint> solve(double i,
-                                      const thermal::SteadyStateOptions& options = {},
-                                      SolveWorkspace* ws = nullptr) const;
+  /// Solve (G − i·D)θ = p(i) by sparse Cholesky refactorization, which
+  /// doubles as the positive-definiteness probe. Returns nullopt when the
+  /// matrix is no longer positive definite (i ≥ λ_m: thermal runaway) or
+  /// i < 0. Passing a caller-owned \p ws reuses its pencil/factor/rhs
+  /// buffers instead of allocating per call (same arithmetic, bit-identical
+  /// results); the returned OperatingPoint still owns its vectors.
+  std::optional<OperatingPoint> solve(double i, SolveWorkspace* ws = nullptr) const;
 
   /// Σ over devices of Eq. (3) evaluated at the solved temperatures.
   double tec_input_power(double i, const linalg::Vector& theta) const;

@@ -5,7 +5,7 @@
 
 namespace tfc::thermal {
 
-NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
+NonlinearResult solve_steady_state_nonlinear(const PackageGeometry& geometry,
                                              const linalg::Vector& tile_powers,
                                              const NonlinearOptions& nonlinear) {
   if (nonlinear.max_iterations == 0 || !(nonlinear.tol > 0.0) ||
@@ -13,15 +13,15 @@ NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
     throw std::invalid_argument("solve_steady_state_nonlinear: bad options");
   }
 
-  const double k_ref = options.geometry.die_material.thermal_conductivity;
+  const double k_ref = geometry.die_material.thermal_conductivity;
   NonlinearResult res;
   double k_now = k_ref;
   linalg::Vector prev;
 
   for (std::size_t it = 0; it < nonlinear.max_iterations; ++it) {
-    PackageModelOptions opts = options;
-    opts.geometry.die_material.thermal_conductivity = k_now;
-    PackageModel model = PackageModel::build(opts);
+    PackageGeometry g = geometry;
+    g.die_material.thermal_conductivity = k_now;
+    PackageModel model = PackageModel::build(StackSpec::single_die(g), {}, {});
     model.set_tile_powers(tile_powers);
     res.theta = solve_steady_state(model, nonlinear.solver);
     res.tile_temperatures = model.tile_temperatures(res.theta);

@@ -41,10 +41,10 @@ struct NonlinearResult {
   double silicon_conductivity = 0.0;
 };
 
-/// Solve the package steady state with temperature-dependent die
-/// conductivity. \p options describes the package (its die material's
+/// Solve the single-die package steady state with temperature-dependent die
+/// conductivity. \p geometry describes the package (its die material's
 /// conductivity is taken as k_ref); \p tile_powers is the worst-case map.
-NonlinearResult solve_steady_state_nonlinear(const PackageModelOptions& options,
+NonlinearResult solve_steady_state_nonlinear(const PackageGeometry& geometry,
                                              const linalg::Vector& tile_powers,
                                              const NonlinearOptions& nonlinear = {});
 

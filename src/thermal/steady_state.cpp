@@ -3,22 +3,37 @@
 #include <stdexcept>
 
 #include "linalg/cg.h"
-#include "linalg/cholesky.h"
 #include "linalg/sparse_cholesky.h"
 #include "obs/trace.h"
 
 namespace tfc::thermal {
 
+const char* backend_name(Backend backend) {
+  switch (backend) {
+    case Backend::kCholesky: return "cholesky";
+    case Backend::kCg: return "cg";
+  }
+  return "?";
+}
+
+std::optional<Backend> parse_backend(std::string_view name) {
+  if (name == "cholesky") return Backend::kCholesky;
+  if (name == "cg") return Backend::kCg;
+  return std::nullopt;
+}
+
+const char* backend_list() { return "cholesky|cg"; }
+
 linalg::Vector solve_steady_state(const linalg::SparseMatrix& g, const linalg::Vector& rhs,
                                   const SteadyStateOptions& options) {
   TFC_SPAN("steady_state_solve");
   switch (options.backend) {
-    case SolverBackend::kSparseCholesky: {
+    case Backend::kCholesky: {
       auto f = linalg::SparseCholeskyFactor::factor(g);
       if (!f) throw std::runtime_error("solve_steady_state: matrix not positive definite");
       return f->solve(rhs);
     }
-    case SolverBackend::kConjugateGradient: {
+    case Backend::kCg: {
       linalg::CgOptions cg;
       cg.rel_tol = options.cg_rel_tol;
       cg.max_iterations = options.cg_max_iterations;
@@ -27,11 +42,6 @@ linalg::Vector solve_steady_state(const linalg::SparseMatrix& g, const linalg::V
         throw std::runtime_error("solve_steady_state: CG failed to converge");
       }
       return std::move(res.x);
-    }
-    case SolverBackend::kDenseCholesky: {
-      auto f = linalg::CholeskyFactor::factor(g.to_dense());
-      if (!f) throw std::runtime_error("solve_steady_state: matrix not positive definite");
-      return f->solve(rhs);
     }
   }
   throw std::logic_error("solve_steady_state: unknown backend");

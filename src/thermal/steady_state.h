@@ -4,22 +4,34 @@
 /// core::ThermalSystem).
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector.h"
 #include "thermal/package_model.h"
 
 namespace tfc::thermal {
 
-/// Solver back end selection.
-enum class SolverBackend {
-  kSparseCholesky,  ///< direct, default
-  kConjugateGradient,
-  kDenseCholesky,  ///< O(n³); cross-checking and small models only
+/// Linear backend for an SPD solve: steady-state solves here and the solve
+/// engine's point solves (engine::SolveContext) select from the same set.
+enum class Backend {
+  kCholesky,  ///< sparse Cholesky (direct, default)
+  kCg,        ///< Jacobi-preconditioned conjugate gradient
 };
+
+/// Stable lower-case name ("cholesky", "cg") for CLI/metrics/JSON.
+const char* backend_name(Backend backend);
+
+/// Parse a backend_name() string; nullopt for anything else.
+std::optional<Backend> parse_backend(std::string_view name);
+
+/// "cholesky|cg" — for CLI help and error messages.
+const char* backend_list();
 
 /// Options for steady-state solving.
 struct SteadyStateOptions {
-  SolverBackend backend = SolverBackend::kSparseCholesky;
+  Backend backend = Backend::kCholesky;
   /// CG-specific knobs (ignored by direct back ends).
   double cg_rel_tol = 1e-12;
   std::size_t cg_max_iterations = 50000;

@@ -6,8 +6,10 @@
 /// refinement + z-slabs per layer) — the role HotSpot/FEM plays in the paper.
 #pragma once
 
+#include "common/tile.h"
 #include "linalg/vector.h"
 #include "thermal/package_model.h"
+#include "thermal/stack_spec.h"
 #include "thermal/steady_state.h"
 
 namespace tfc::thermal {
@@ -28,16 +30,30 @@ struct ValidationReport {
 
 /// Reference discretization parameters.
 struct ReferenceResolution {
-  std::size_t lateral_refine = 4;
+  /// Lateral refinement: each tile becomes refine × refine reference cells.
+  std::size_t refine = 4;
+  /// Z-discretization per layer (silicon / TIM / spreader).
   std::size_t silicon_slabs = 3;
   std::size_t tim_slabs = 1;
   std::size_t spreader_slabs = 3;
 };
 
-/// Run the same power map through a coarse model (options as given, with
-/// refine/slabs forced to 1) and a refined reference, and compare tile
-/// temperatures. \p tile_powers is the worst-case power map [W per tile].
-ValidationReport validate_against_reference(const PackageModelOptions& options,
+/// The reference discretization of the single-die package \p geometry: its
+/// die grid resolution.refine× finer per side, with the slab counts of
+/// \p resolution.
+StackSpec reference_spec(const PackageGeometry& geometry,
+                         const ReferenceResolution& resolution);
+
+/// Run the same power map through the compact model of \p geometry and its
+/// refined reference, and compare tile temperatures. \p tile_powers is the
+/// worst-case power map [W per tile], spread evenly over each tile's
+/// reference cells; a reference tile temperature is the mean over its cells.
+/// Passive TECs sit on \p tec_tiles (an empty mask: the bare package); in
+/// the reference each one becomes refine² parallel sub-devices, each with
+/// the \p tec_link conductances ÷ refine².
+ValidationReport validate_against_reference(const PackageGeometry& geometry,
+                                            const TileMask& tec_tiles,
+                                            const TecThermalLink& tec_link,
                                             const linalg::Vector& tile_powers,
                                             const ReferenceResolution& resolution = {},
                                             const SteadyStateOptions& solver = {});

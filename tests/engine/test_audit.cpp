@@ -119,7 +119,7 @@ TEST(Audit, ResidualBelowTargetOnAlphaAcrossBackendsAndThreads) {
   const auto design = core::design_cooling_system(req);
   ASSERT_TRUE(design.success);
 
-  for (Backend backend : {Backend::kCholesky, Backend::kCg}) {
+  for (thermal::Backend backend : {thermal::Backend::kCholesky, thermal::Backend::kCg}) {
     for (std::size_t threads : {std::size_t(1), std::size_t(4)}) {
       par::ThreadPool::set_global_threads(threads);
       EngineOptions opts;
@@ -129,14 +129,14 @@ TEST(Audit, ResidualBelowTargetOnAlphaAcrossBackendsAndThreads) {
                        tec::TecDeviceParams::chowdhury_superlattice(), opts);
       const auto op = ctx.solve(design.current);
       ASSERT_TRUE(op.has_value())
-          << backend_name(backend) << " threads=" << threads;
+          << thermal::backend_name(backend) << " threads=" << threads;
       const auto cert = audit_point(ctx.system(), *op, ctx.runaway_limit());
-      EXPECT_LT(cert.rel_residual, backend == Backend::kCholesky ? 1e-10 : 1e-9)
-          << backend_name(backend) << " threads=" << threads;
+      EXPECT_LT(cert.rel_residual, backend == thermal::Backend::kCholesky ? 1e-10 : 1e-9)
+          << thermal::backend_name(backend) << " threads=" << threads;
       EXPECT_LT(cert.energy_balance_rel, 1e-8)
-          << backend_name(backend) << " threads=" << threads;
+          << thermal::backend_name(backend) << " threads=" << threads;
       EXPECT_TRUE(cert.pass(obs::health::Tolerances{}))
-          << backend_name(backend) << " threads=" << threads << " "
+          << thermal::backend_name(backend) << " threads=" << threads << " "
           << cert.describe();
     }
   }
@@ -197,7 +197,7 @@ TEST(Audit, RecordAuditMetricsCountsSamplesViolationsAndDegraded) {
 
 TEST(Audit, CgIterationCapThrowsTypedErrorAndCounts) {
   EngineOptions opts;
-  opts.backend = Backend::kCg;
+  opts.backend = thermal::Backend::kCg;
   opts.cg_rel_tol = 1e-300;  // unreachable: force the iteration cap
   opts.cg_max_iterations = 3;
   const SolveContext ctx = make_context(opts);

@@ -8,30 +8,32 @@ namespace tfc::engine {
 namespace {
 
 TEST(Backend, NamesRoundTrip) {
-  for (Backend b : {Backend::kCholesky, Backend::kCg}) {
-    auto parsed = parse_backend(backend_name(b));
+  for (thermal::Backend b : {thermal::Backend::kCholesky, thermal::Backend::kCg}) {
+    auto parsed = thermal::parse_backend(thermal::backend_name(b));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, b);
   }
 }
 
 TEST(Backend, ParseRejectsUnknownNames) {
-  EXPECT_FALSE(parse_backend("").has_value());
-  EXPECT_FALSE(parse_backend("gauss").has_value());
-  EXPECT_FALSE(parse_backend("Cholesky").has_value());  // case-sensitive
-  EXPECT_FALSE(parse_backend("ldlt").has_value());  // cut: dense O(n^3), see backend.h
+  EXPECT_FALSE(thermal::parse_backend("").has_value());
+  EXPECT_FALSE(thermal::parse_backend("gauss").has_value());
+  EXPECT_FALSE(thermal::parse_backend("Cholesky").has_value());  // case-sensitive
+  // cut: dense O(n^3), see engine/backend.h
+  EXPECT_FALSE(thermal::parse_backend("ldlt").has_value());
 }
 
 TEST(Backend, ListMentionsEveryBackend) {
-  const std::string list = backend_list();
-  for (Backend b : {Backend::kCholesky, Backend::kCg}) {
-    EXPECT_NE(list.find(backend_name(b)), std::string::npos) << backend_name(b);
+  const std::string list = thermal::backend_list();
+  for (thermal::Backend b : {thermal::Backend::kCholesky, thermal::Backend::kCg}) {
+    EXPECT_NE(list.find(thermal::backend_name(b)), std::string::npos)
+        << thermal::backend_name(b);
   }
 }
 
 TEST(Backend, DefaultOptionsUseCholeskyWithIncrementalRestamp) {
   const EngineOptions opts;
-  EXPECT_EQ(opts.backend, Backend::kCholesky);
+  EXPECT_EQ(opts.backend, thermal::Backend::kCholesky);
   EXPECT_TRUE(opts.incremental_restamp);
 }
 

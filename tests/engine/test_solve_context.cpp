@@ -149,16 +149,16 @@ TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {
   const auto reference = direct.solve(1.0);
   ASSERT_TRUE(reference.has_value());
 
-  for (Backend b : {Backend::kCg}) {
+  for (thermal::Backend b : {thermal::Backend::kCg}) {
     EngineOptions opts;
     opts.backend = b;
     const SolveContext ctx = make_context(opts);
     const auto op = ctx.solve(1.0);
-    ASSERT_TRUE(op.has_value()) << backend_name(b);
+    ASSERT_TRUE(op.has_value()) << thermal::backend_name(b);
     EXPECT_NEAR(op->peak_tile_temperature, reference->peak_tile_temperature,
-                1e-7) << backend_name(b);
+                1e-7) << thermal::backend_name(b);
     EXPECT_NEAR(op->tec_input_power, reference->tec_input_power, 1e-7)
-        << backend_name(b);
+        << thermal::backend_name(b);
   }
 }
 
@@ -168,19 +168,19 @@ TEST(SolveContext, AllBackendsDetectLossOfPositiveDefiniteness) {
   ASSERT_TRUE(lambda_m.has_value());
   const double beyond = *lambda_m * 1.05;
 
-  for (Backend b : {Backend::kCholesky, Backend::kCg}) {
+  for (thermal::Backend b : {thermal::Backend::kCholesky, thermal::Backend::kCg}) {
     EngineOptions opts;
     opts.backend = b;
     const SolveContext ctx = make_context(opts);
-    EXPECT_FALSE(ctx.solve(beyond).has_value()) << backend_name(b);
-    EXPECT_TRUE(ctx.solve(*lambda_m * 0.5).has_value()) << backend_name(b);
+    EXPECT_FALSE(ctx.solve(beyond).has_value()) << thermal::backend_name(b);
+    EXPECT_TRUE(ctx.solve(*lambda_m * 0.5).has_value()) << thermal::backend_name(b);
   }
 }
 
 TEST(SolveContext, SolveBackendOverridesConfiguredBackend) {
   const SolveContext ctx = make_context();  // configured cholesky
   const auto direct = ctx.solve(1.0);
-  const auto via_cg = ctx.solve_backend(Backend::kCg, 1.0);
+  const auto via_cg = ctx.solve_backend(thermal::Backend::kCg, 1.0);
   ASSERT_TRUE(direct.has_value());
   ASSERT_TRUE(via_cg.has_value());
   EXPECT_NEAR(via_cg->peak_tile_temperature, direct->peak_tile_temperature, 1e-7);

@@ -98,9 +98,8 @@ TEST(PaperPipeline, AlphaConvexityCertified) {
 
 TEST(PaperPipeline, AlphaModelValidatesAgainstFineGrid) {
   // Section VI: compact model vs HotSpot agreed within 1.5 °C worst case.
-  thermal::PackageModelOptions opts;  // paper-default geometry
   auto report = thermal::validate_against_reference(
-      opts, worst_case_map(floorplan::alpha21364()));
+      thermal::PackageGeometry{}, {}, {}, worst_case_map(floorplan::alpha21364()));
   EXPECT_LT(report.max_abs_diff, 1.5);
 }
 

@@ -43,12 +43,10 @@ TEST(Cascade, StageCountReflectedInNodeLists) {
 }
 
 TEST(Cascade, ZeroStagesRejected) {
-  thermal::PackageModelOptions o;
-  o.geometry = small_geom();
-  o.tec_tiles = one_tec();
-  o.tec_link = TecDeviceParams::chowdhury_superlattice().thermal_link();
-  o.tec_stages = 0;
-  EXPECT_THROW(thermal::PackageModel::build(o), std::invalid_argument);
+  const auto link = TecDeviceParams::chowdhury_superlattice().thermal_link();
+  EXPECT_THROW(thermal::PackageModel::build(thermal::StackSpec::single_die(small_geom()),
+                                            one_tec(), link, /*stages=*/0),
+               std::invalid_argument);
 }
 
 TEST(Cascade, NetworkStaysLemma1Conformant) {

@@ -7,13 +7,17 @@
 namespace tfc::thermal {
 namespace {
 
-PackageModelOptions small_options() {
-  PackageModelOptions o;
-  o.geometry.tile_rows = 4;
-  o.geometry.tile_cols = 4;
-  o.geometry.die_width = 2e-3;
-  o.geometry.die_height = 2e-3;
-  return o;
+PackageGeometry small_geometry() {
+  PackageGeometry g;
+  g.tile_rows = 4;
+  g.tile_cols = 4;
+  g.die_width = 2e-3;
+  g.die_height = 2e-3;
+  return g;
+}
+
+PackageModel build(const PackageGeometry& g) {
+  return PackageModel::build(StackSpec::single_die(g), {}, {});
 }
 
 linalg::Vector powers() {
@@ -23,7 +27,7 @@ linalg::Vector powers() {
 }
 
 TEST(Nonlinear, ConvergesOnSmallPackage) {
-  auto res = solve_steady_state_nonlinear(small_options(), powers());
+  auto res = solve_steady_state_nonlinear(small_geometry(), powers());
   EXPECT_TRUE(res.converged);
   EXPECT_GE(res.iterations, 2u);
   EXPECT_GT(res.silicon_conductivity, 0.0);
@@ -32,9 +36,9 @@ TEST(Nonlinear, ConvergesOnSmallPackage) {
 TEST(Nonlinear, HotterThanLinearModel) {
   // Above the reference temperature, k(T) < k_ref, so the hot spot must be
   // hotter than the constant-k prediction.
-  auto opts = small_options();
+  auto opts = small_geometry();
   auto p = powers();
-  PackageModel linear = PackageModel::build(opts);
+  PackageModel linear = build(opts);
   linear.set_tile_powers(p);
   const double peak_linear = linear.peak_tile_temperature(solve_steady_state(linear));
 
@@ -42,31 +46,31 @@ TEST(Nonlinear, HotterThanLinearModel) {
   ASSERT_TRUE(res.converged);
   EXPECT_GT(linalg::max_entry(res.tile_temperatures), peak_linear);
   EXPECT_LT(res.silicon_conductivity,
-            opts.geometry.die_material.thermal_conductivity);
+            opts.die_material.thermal_conductivity);
 }
 
 TEST(Nonlinear, ZeroExponentReducesToLinear) {
-  auto opts = small_options();
+  auto opts = small_geometry();
   auto p = powers();
   NonlinearOptions nl;
   nl.exponent = 0.0;
   auto res = solve_steady_state_nonlinear(opts, p, nl);
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 2u);  // first solve + convergence confirmation
-  PackageModel linear = PackageModel::build(opts);
+  PackageModel linear = build(opts);
   linear.set_tile_powers(p);
   EXPECT_TRUE(approx_equal(res.theta, solve_steady_state(linear), 1e-9));
   EXPECT_DOUBLE_EQ(res.silicon_conductivity,
-                   opts.geometry.die_material.thermal_conductivity);
+                   opts.die_material.thermal_conductivity);
 }
 
 TEST(Nonlinear, EffectGrowsWithPower) {
   // Nonlinear-vs-linear gap should widen as the die runs hotter.
-  auto opts = small_options();
+  auto opts = small_geometry();
   const auto gap = [&](double scale) {
     linalg::Vector p = powers();
     p *= scale;
-    PackageModel linear = PackageModel::build(opts);
+    PackageModel linear = build(opts);
     linear.set_tile_powers(p);
     const double lin = linear.peak_tile_temperature(solve_steady_state(linear));
     auto res = solve_steady_state_nonlinear(opts, p);
@@ -78,22 +82,22 @@ TEST(Nonlinear, EffectGrowsWithPower) {
 TEST(Nonlinear, BadOptionsThrow) {
   NonlinearOptions nl;
   nl.max_iterations = 0;
-  EXPECT_THROW(solve_steady_state_nonlinear(small_options(), powers(), nl),
+  EXPECT_THROW(solve_steady_state_nonlinear(small_geometry(), powers(), nl),
                std::invalid_argument);
   nl = {};
   nl.tol = 0.0;
-  EXPECT_THROW(solve_steady_state_nonlinear(small_options(), powers(), nl),
+  EXPECT_THROW(solve_steady_state_nonlinear(small_geometry(), powers(), nl),
                std::invalid_argument);
   nl = {};
   nl.reference_temperature = -1.0;
-  EXPECT_THROW(solve_steady_state_nonlinear(small_options(), powers(), nl),
+  EXPECT_THROW(solve_steady_state_nonlinear(small_geometry(), powers(), nl),
                std::invalid_argument);
 }
 
 TEST(Nonlinear, IterationCapRespected) {
   NonlinearOptions nl;
   nl.max_iterations = 1;
-  auto res = solve_steady_state_nonlinear(small_options(), powers(), nl);
+  auto res = solve_steady_state_nonlinear(small_geometry(), powers(), nl);
   EXPECT_FALSE(res.converged);  // one solve can never confirm convergence
   EXPECT_EQ(res.iterations, 1u);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "linalg/cholesky.h"
 #include "thermal/package_model.h"
 #include "thermal/steady_state.h"
 #include "thermal/transient.h"
@@ -8,13 +9,17 @@
 namespace tfc::thermal {
 namespace {
 
-PackageModelOptions small_options() {
-  PackageModelOptions o;
-  o.geometry.tile_rows = 4;
-  o.geometry.tile_cols = 4;
-  o.geometry.die_width = 2e-3;
-  o.geometry.die_height = 2e-3;
-  return o;
+PackageGeometry small_geometry() {
+  PackageGeometry g;
+  g.tile_rows = 4;
+  g.tile_cols = 4;
+  g.die_width = 2e-3;
+  g.die_height = 2e-3;
+  return g;
+}
+
+PackageModel small_model() {
+  return PackageModel::build(StackSpec::single_die(small_geometry()), {}, {});
 }
 
 linalg::Vector test_powers() {
@@ -25,14 +30,17 @@ linalg::Vector test_powers() {
 }
 
 TEST(SteadyState, BackendsAgree) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
-  SteadyStateOptions direct, cg, dense;
-  cg.backend = SolverBackend::kConjugateGradient;
-  dense.backend = SolverBackend::kDenseCholesky;
+  SteadyStateOptions direct, cg;
+  cg.backend = Backend::kCg;
   auto t1 = solve_steady_state(m, direct);
   auto t2 = solve_steady_state(m, cg);
-  auto t3 = solve_steady_state(m, dense);
+  // Dense Cholesky of the assembled G is the oracle.
+  const auto& net = m.network();
+  auto dense = linalg::CholeskyFactor::factor(net.conductance_matrix().to_dense());
+  ASSERT_TRUE(dense.has_value());
+  auto t3 = dense->solve(net.rhs(m.geometry().ambient));
   EXPECT_TRUE(approx_equal(t1, t2, 1e-7));
   EXPECT_TRUE(approx_equal(t1, t3, 1e-8));
 }
@@ -48,7 +56,7 @@ TEST(SteadyState, SingularMatrixThrows) {
 }
 
 TEST(Transient, ConvergesToSteadyState) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
@@ -63,7 +71,7 @@ TEST(Transient, ConvergesToSteadyState) {
 }
 
 TEST(Transient, MonotoneHeatingFromAmbient) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   TransientSolver ts(net.conductance_matrix(), net.capacitance_vector(), 1e-4);
@@ -79,11 +87,11 @@ TEST(Transient, MonotoneHeatingFromAmbient) {
 }
 
 TEST(Transient, RunWithTimeVaryingPower) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   const auto& net = m.network();
   TransientSolver ts(net.conductance_matrix(), net.capacitance_vector(), 1e-3);
   // Power pulse on for the first 10 steps, off afterwards.
-  PackageModel pulsed = PackageModel::build(small_options());
+  PackageModel pulsed = small_model();
   pulsed.set_tile_powers(test_powers());
   auto rhs_on = pulsed.network().rhs(m.geometry().ambient);
   auto rhs_off = net.rhs(m.geometry().ambient);
@@ -94,7 +102,7 @@ TEST(Transient, RunWithTimeVaryingPower) {
 }
 
 TEST(Transient, StepIntoMatchesStepBitwise) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   TransientSolver ts(net.conductance_matrix(), net.capacitance_vector(), 1e-3);
@@ -113,7 +121,7 @@ TEST(Transient, StepIntoMatchesStepBitwise) {
 }
 
 TEST(Transient, SetDtMatchesFreshSolver) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
@@ -135,7 +143,7 @@ TEST(Transient, RestampMatchesFreshSolver) {
   // Re-stamping with a scaled conductance (same pattern) must reproduce a
   // freshly-constructed solver exactly — the refactorize path reuses the
   // original symbolic analysis.
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
@@ -156,7 +164,7 @@ TEST(Transient, RestampMatchesFreshSolver) {
 }
 
 TEST(Transient, SharedSymbolicGivesIdenticalResults) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   m.set_tile_powers(test_powers());
   const auto& net = m.network();
   auto g = net.conductance_matrix();
@@ -174,7 +182,7 @@ TEST(Transient, SharedSymbolicGivesIdenticalResults) {
 }
 
 TEST(Transient, InvalidInputsThrow) {
-  PackageModel m = PackageModel::build(small_options());
+  PackageModel m = small_model();
   auto g = m.network().conductance_matrix();
   auto c = m.network().capacitance_vector();
   EXPECT_THROW(TransientSolver(g, c, 0.0), std::invalid_argument);
@@ -188,12 +196,11 @@ TEST(Validation, CoarseModelTracksReference) {
   // The compact-vs-fine-grid agreement experiment (Section VI): on a small
   // package the coarse tile temperatures must stay within ~1.5 °C of a 3x
   // refined discretization.
-  auto o = small_options();
   ReferenceResolution res;
-  res.lateral_refine = 3;
+  res.refine = 3;
   res.silicon_slabs = 3;
   res.spreader_slabs = 2;
-  auto report = validate_against_reference(o, test_powers(), res);
+  auto report = validate_against_reference(small_geometry(), {}, {}, test_powers(), res);
   EXPECT_EQ(report.coarse.size(), 16u);
   EXPECT_GT(report.reference_nodes, report.coarse_nodes);
   // This synthetic 0.6 W point load on a 0.25 mm² tile is harsher than the
@@ -207,12 +214,12 @@ TEST(Validation, CoarseModelTracksReference) {
 TEST(Validation, RefinementConvergence) {
   // 2x and 4x refinements should agree with each other better than 1x vs 4x:
   // plain grid-convergence sanity.
-  auto o = small_options();
+  const PackageGeometry g = small_geometry();
   linalg::Vector p = test_powers();
   ReferenceResolution r2{2, 2, 1, 2};
   ReferenceResolution r4{4, 3, 1, 3};
-  auto rep2 = validate_against_reference(o, p, r2);
-  auto rep4 = validate_against_reference(o, p, r4);
+  auto rep2 = validate_against_reference(g, {}, {}, p, r2);
+  auto rep4 = validate_against_reference(g, {}, {}, p, r4);
   // Coarse model identical in both runs; finer reference may move a little.
   EXPECT_TRUE(approx_equal(rep2.coarse, rep4.coarse, 1e-9));
   double ref_gap = 0.0;
