@@ -3,32 +3,30 @@
 #include <csignal>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
-#include "core/cooling_system.h"
 #include "core/sensitivity.h"
-#include "engine/solve_context.h"
-#include "floorplan/alpha21364.h"
 #include "floorplan/hotspot_import.h"
-#include "floorplan/random_chip.h"
 #include "io/design_json.h"
 #include "io/spec_json.h"
 #include "obs/build_info.h"
 #include "obs/obs.h"
 #include "par/thread_pool.h"
 #include "power/power_profile.h"
-#include "power/workload.h"
-#include "sim/scenario.h"
 #include "svc/client.h"
 #include "svc/server.h"
-#include "tec/runaway.h"
+#include "svc/session.h"
 #include "thermal/validation.h"
 
 namespace tfc::cli {
@@ -109,177 +107,131 @@ std::string option_or(const ParsedArgs& p, const std::string& key,
   return it == p.options.end() ? fallback : it->second;
 }
 
-/// Resolve --backend / --runaway-method into solve-engine options; nullopt
-/// (with a message on \p err) for an unknown name.
-std::optional<engine::EngineOptions> parse_engine_options(const ParsedArgs& p,
-                                                          std::ostream& err) {
+/// A CLI flag and the service param it sets: flags turn into the params the
+/// service reads, so the shared checks in svc/session.h validate both.
+enum FlagKind { kString, kNumber, kTrue, kFalse };
+struct FlagParam {
+  const char* flag;
+  const char* param;
+  FlagKind kind;
+};
+
+constexpr FlagParam kFlagParams[] = {
+    {"--chip", "chip", kString},           {"--spec", "spec", kString},
+    {"--limit", "limit", kNumber},         {"--runaway-method", "method", kString},
+    {"--points", "points", kNumber},       {"--max-fraction", "max_fraction", kNumber},
+    {"--benchmark", "benchmark", kString}, {"--steps", "steps", kNumber},
+    {"--dt", "dt", kNumber},               {"--frame-every", "frame_every", kNumber},
+    {"--current", "current", kNumber},     {"--control-every", "control_every", kNumber},
+    {"--tec-on", "tec_on_step", kNumber},  {"--tec-off", "tec_off_step", kNumber},
+    {"--no-dtm", "dtm", kFalse},           {"--tiles", "tiles", kTrue},
+    {"--cold-start", "cold_start", kTrue},
+};
+
+/// The service params the command's flags set. A numeric flag whose text is
+/// not a number becomes NaN, which every range check rejects with the
+/// param's own message.
+io::JsonValue flag_params(const ParsedArgs& p) {
+  io::JsonValue params = io::JsonValue::make_object();
+  for (const FlagParam& f : kFlagParams) {
+    const auto it = p.options.find(f.flag);
+    if (it == p.options.end()) continue;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double number = std::strtod(text, &end);
+    if (f.kind == kString) {
+      params.set(f.param, io::JsonValue::make_string(text));
+    } else if (f.kind == kNumber) {
+      params.set(f.param, io::JsonValue::make_number(
+                              end != text && *end == '\0'
+                                  ? number
+                                  : std::numeric_limits<double>::quiet_NaN()));
+    } else {
+      params.set(f.param, io::JsonValue::make_bool(f.kind == kTrue));
+    }
+  }
+  return params;
+}
+
+/// Resolve --backend / --runaway-method into solve-engine options.
+engine::EngineOptions engine_options(const ParsedArgs& p, const io::JsonValue& params) {
   engine::EngineOptions opts;
   if (auto it = p.options.find("--backend"); it != p.options.end()) {
     auto backend = thermal::parse_backend(it->second);
     if (!backend) {
-      err << "error: unknown backend '" << it->second << "' (use "
-          << thermal::backend_list() << ")\n";
-      return std::nullopt;
+      throw std::invalid_argument("unknown backend '" + it->second + "' (use " +
+                                  thermal::backend_list() + ")");
     }
     opts.backend = *backend;
   }
-  if (auto it = p.options.find("--runaway-method"); it != p.options.end()) {
-    auto method = tec::parse_runaway_method(it->second);
-    if (!method) {
-      err << "error: unknown runaway method '" << it->second << "' (use "
-          << tec::runaway_method_list() << ")\n";
-      return std::nullopt;
-    }
-    opts.runaway.method = *method;
-  }
+  opts.runaway.method = svc::runaway_method_param(params, opts.runaway.method);
   return opts;
 }
 
-/// Resolve --chip / --flp+--ptrace / --spec into a name + tile power map.
-struct ChipInput {
-  std::string name;
-  linalg::Vector tile_powers;
-  thermal::PackageGeometry geometry;
-  /// Declarative package (--spec); null on the --chip / --flp paths. When
-  /// set, `geometry` is unused and the solver entry points take the spec
-  /// overloads instead.
-  std::shared_ptr<const thermal::StackSpec> spec;
-  /// The chip's unit structure (built-in floorplan, rasterized .flp, or a
-  /// spec's combined virtual-grid floorplan) for commands that need it.
-  std::shared_ptr<const floorplan::Floorplan> plan;
-};
-
-std::optional<ChipInput> load_chip(const ParsedArgs& p, std::ostream& err) {
-  ChipInput input;
-  const auto chip_it = p.options.find("--chip");
+/// The chip the chip-selection flags pick: "chip"/"spec" as the service
+/// reads them, or the --flp/--ptrace import — a HotSpot floorplan rasterized
+/// onto a --rows x --cols tile grid of a --die-mm die, at the power trace's
+/// worst case.
+svc::ChipInput chip_input(const ParsedArgs& p, const io::JsonValue& params) {
+  const bool chip = p.options.count("--chip") != 0;
   const auto flp_it = p.options.find("--flp");
-  const auto spec_it = p.options.find("--spec");
-
-  if (spec_it != p.options.end() &&
-      (chip_it != p.options.end() || flp_it != p.options.end())) {
-    err << "error: --spec excludes --chip and --flp (the spec file carries "
-           "its own stack, grid, and power maps)\n";
-    return std::nullopt;
+  const bool flp = flp_it != p.options.end();
+  if (p.options.count("--spec") != 0 && (chip || flp)) {
+    throw std::invalid_argument(
+        "--spec excludes --chip and --flp (the spec file carries its own stack, grid, "
+        "and power maps)");
   }
+  if (chip && flp) throw std::invalid_argument("--chip and --flp are mutually exclusive");
+  svc::ChipInput input = svc::chip_input(params);
+  if (!flp) return input;
 
-  if (chip_it != p.options.end() && flp_it != p.options.end()) {
-    err << "error: --chip and --flp are mutually exclusive\n";
-    return std::nullopt;
+  const auto ptrace_it = p.options.find("--ptrace");
+  if (ptrace_it == p.options.end()) {
+    throw std::invalid_argument("--flp requires --ptrace");
   }
-
-  if (spec_it != p.options.end()) {
-    std::shared_ptr<const thermal::StackSpec> spec;
-    try {
-      spec = std::make_shared<const thermal::StackSpec>(
-          io::load_stack_spec(spec_it->second));
-    } catch (const std::exception& e) {
-      err << "error: bad spec '" << spec_it->second << "': " << e.what() << "\n";
-      return std::nullopt;
-    }
-    input.name = spec->name;
-    input.tile_powers = spec->tile_powers();
-    input.plan = std::make_shared<const floorplan::Floorplan>(spec->combined_floorplan());
-    input.spec = std::move(spec);
-    return input;
+  std::ifstream flp_file(flp_it->second);
+  if (!flp_file) {
+    throw std::invalid_argument("cannot open floorplan '" + flp_it->second + "'");
   }
-
-  if (flp_it != p.options.end()) {
-    const auto ptrace_it = p.options.find("--ptrace");
-    if (ptrace_it == p.options.end()) {
-      err << "error: --flp requires --ptrace\n";
-      return std::nullopt;
-    }
-    std::ifstream flp(flp_it->second);
-    if (!flp) {
-      err << "error: cannot open floorplan '" << flp_it->second << "'\n";
-      return std::nullopt;
-    }
-    std::ifstream ptrace(ptrace_it->second);
-    if (!ptrace) {
-      err << "error: cannot open power trace '" << ptrace_it->second << "'\n";
-      return std::nullopt;
-    }
-    input.geometry.tile_rows = parse_size(p, "--rows", 12);
-    input.geometry.tile_cols = parse_size(p, "--cols", 12);
-    input.geometry.die_width = parse_double(p, "--die-mm", 6.0) * 1e-3;
-    input.geometry.die_height = input.geometry.die_width;
-    try {
-      auto plan = floorplan::rasterize_flp(floorplan::read_flp(flp),
-                                           input.geometry.die_width,
-                                           input.geometry.die_height,
-                                           input.geometry.tile_rows,
-                                           input.geometry.tile_cols);
-      floorplan::apply_unit_powers(plan, floorplan::read_ptrace_worst_case(ptrace));
-      input.tile_powers = power::PowerProfile::from_floorplan(plan).tile_powers();
-      input.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
-    } catch (const std::exception& e) {
-      err << "error: import failed: " << e.what() << "\n";
-      return std::nullopt;
-    }
-    input.name = flp_it->second;
-    return input;
+  std::ifstream ptrace(ptrace_it->second);
+  if (!ptrace) {
+    throw std::invalid_argument("cannot open power trace '" + ptrace_it->second + "'");
   }
-
-  const std::string chip = chip_it == p.options.end() ? "alpha" : chip_it->second;
-  floorplan::Floorplan plan = [&] {
-    if (chip == "alpha") return floorplan::alpha21364();
-    if (chip.rfind("hc", 0) == 0) {
-      return floorplan::hypothetical_chip(std::stoul(chip.substr(2)));
-    }
-    throw std::invalid_argument("unknown chip '" + chip + "' (use alpha or hc<N>)");
-  }();
-  input.name = chip;
-  power::WorkloadSynthesizer synth(plan);
-  input.tile_powers =
-      power::worst_case_profile(plan, synth.synthesize_suite(8)).tile_powers();
-  input.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
+  thermal::PackageGeometry& g = input.geometry;
+  g.tile_rows = parse_size(p, "--rows", 12);
+  g.tile_cols = parse_size(p, "--cols", 12);
+  g.die_width = parse_double(p, "--die-mm", 6.0) * 1e-3;
+  g.die_height = g.die_width;
+  input.key.chip = flp_it->second;
+  input.key.tile_rows = g.tile_rows;
+  input.key.tile_cols = g.tile_cols;
+  try {
+    auto plan = floorplan::rasterize_flp(floorplan::read_flp(flp_file), g.die_width,
+                                         g.die_height, g.tile_rows, g.tile_cols);
+    floorplan::apply_unit_powers(plan, floorplan::read_ptrace_worst_case(ptrace));
+    input.tile_powers = power::PowerProfile::from_floorplan(plan).tile_powers();
+    input.plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument(std::string("import failed: ") + e.what());
+  }
   return input;
 }
 
-/// Solve engine over the chip's designed deployment, taking the StackSpec
-/// assembly path when the chip came from --spec.
-engine::SolveContext make_context(const ChipInput& chip, const TileMask& deployment,
-                                  const engine::EngineOptions& opts) {
-  if (chip.spec != nullptr) {
-    return engine::SolveContext(chip.spec, deployment, chip.tile_powers,
-                                tec::TecDeviceParams::chowdhury_superlattice(), opts);
-  }
-  return engine::SolveContext(chip.geometry, deployment, chip.tile_powers,
-                              tec::TecDeviceParams::chowdhury_superlattice(), opts);
-}
-
-core::DesignResult design_with_fallback(const ChipInput& chip, double limit,
-                                        bool full_cover, bool certify,
-                                        const engine::EngineOptions& engine_opts = {}) {
-  core::DesignRequest req;
-  req.chip_name = chip.name;
-  req.geometry = chip.geometry;
-  req.spec = chip.spec;
-  req.tile_powers = chip.tile_powers;
-  req.theta_limit_celsius = limit;
-  req.run_full_cover = full_cover;
-  req.run_convexity_certificate = certify;
-  req.greedy.engine = engine_opts;
-  auto res = core::design_cooling_system(req);
-  while (!res.success && req.theta_limit_celsius < limit + 25.0) {
-    req.theta_limit_celsius += 1.0;
-    TFC_LOG_INFO("design_fallback_relax", {"chip", chip.name},
-                 {"theta_limit_c", req.theta_limit_celsius});
-    res = core::design_cooling_system(req);
-  }
-  return res;
+/// The session the flags select, from the service's session builder.
+std::shared_ptr<const svc::Session> session(const ParsedArgs& p,
+                                            const io::JsonValue& params,
+                                            const svc::SessionOptions& options = {}) {
+  return svc::build_session(chip_input(p, params), options);
 }
 
 int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const double limit = parse_double(p, "--limit", 85.0);
-  const bool full_cover = p.options.find("--no-full-cover") == p.options.end();
-  const bool certify = p.options.find("--certify") != p.options.end();
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-
-  auto res = design_with_fallback(*chip, limit, full_cover, certify, *engine_opts);
+  const io::JsonValue params = flag_params(p);
+  svc::SessionOptions options;
+  options.full_cover = p.options.count("--no-full-cover") == 0;
+  options.certify = p.options.count("--certify") != 0;
+  options.engine = engine_options(p, params);
+  const auto s = session(p, params, options);
+  const core::DesignResult& res = s->design;
   out << core::table_header() << "\n" << core::format_table_row(res) << "\n";
   if (p.options.count("--map") != 0) {
     out << "\n" << core::deployment_map(res.deployment);
@@ -301,90 +253,78 @@ int cmd_design(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   return res.success ? 0 : 1;
 }
 
-int cmd_table1(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  const double limit = parse_double(p, "--limit", 85.0);
+int cmd_table1(const ParsedArgs& p, std::ostream& out, std::ostream&) {
+  io::JsonValue params = flag_params(p);
+  svc::SessionOptions options;
+  options.full_cover = true;
   out << core::table_header() << "\n";
   bool all_ok = true;
   for (std::size_t idx = 0; idx <= 10; ++idx) {
-    ParsedArgs one = p;
-    one.options["--chip"] = idx == 0 ? "alpha" : ("hc" + std::to_string(idx));
-    auto chip = load_chip(one, err);
-    if (!chip) return 2;
-    auto res = design_with_fallback(*chip, limit, true, false);
-    out << core::format_table_row(res) << "\n";
-    all_ok = all_ok && res.success;
+    const std::string chip = idx == 0 ? "alpha" : "hc" + std::to_string(idx);
+    params.set("chip", io::JsonValue::make_string(chip));
+    const auto s = session(p, params, options);
+    out << core::format_table_row(s->design) << "\n";
+    all_ok = all_ok && s->design.success;
   }
   return all_ok ? 0 : 1;
 }
 
-int cmd_runaway(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-  auto res = design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false, false,
-                                  *engine_opts);
-  if (res.deployment.empty()) {
-    err << "error: no TECs deployed; nothing to analyze\n";
-    return 1;
+/// Session of an analysis command (no full cover); null, with a message on
+/// \p err, when no TECs were deployed.
+std::shared_ptr<const svc::Session> deployed_session(const ParsedArgs& p,
+                                                     const io::JsonValue& params,
+                                                     const char* what,
+                                                     std::ostream& err) {
+  svc::SessionOptions options;
+  options.engine = engine_options(p, params);
+  auto s = session(p, params, options);
+  if (s->design.deployment.empty()) {
+    err << "error: no TECs deployed; nothing to " << what << "\n";
+    return nullptr;
   }
-  const engine::SolveContext context = make_context(*chip, res.deployment, *engine_opts);
-  const double lm = *context.runaway_limit();
+  return s;
+}
+
+int cmd_runaway(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
+  const auto s = deployed_session(p, flag_params(p), "analyze", err);
+  if (!s) return 1;
+  const double lm = *s->context->runaway_limit();
   // Full precision: the CI cross-validation smoke diffs this line across
   // runaway methods at 1e-8 relative.
   char lm_full[32];
   std::snprintf(lm_full, sizeof(lm_full), "%.17g", lm);
-  out << "deployment: " << res.tec_count << " TECs; lambda_m = " << lm_full << " A\n";
+  out << "deployment: " << s->design.tec_count << " TECs; lambda_m = " << lm_full
+      << " A\n";
   out << "i[A], peak[degC]\n";
   for (double f : {0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95, 0.99}) {
-    auto op = context.solve(f * lm);
+    auto op = s->context->solve(f * lm);
     out << f * lm << ", " << thermal::to_celsius(op->peak_tile_temperature) << "\n";
   }
   return 0;
 }
 
 int cmd_sweep(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-  auto res = design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false, false,
-                                  *engine_opts);
-  if (res.deployment.empty()) {
-    err << "error: no TECs deployed; nothing to sweep\n";
-    return 1;
-  }
-  const engine::SolveContext context = make_context(*chip, res.deployment, *engine_opts);
-  const double lm = *context.runaway_limit();
-  const std::size_t points = parse_size(p, "--points", 25);
-  const double hi = parse_double(p, "--max-fraction", 0.95) * lm;
+  const io::JsonValue params = flag_params(p);
+  const auto s = deployed_session(p, params, "sweep", err);
+  if (!s) return 1;
+  const svc::SweepCurve curve =
+      svc::sweep(params, *s->context, *s->context->runaway_limit());
   out << "current_a,peak_degc,ptec_w\n";
-  for (std::size_t s = 0; s <= points; ++s) {
-    const double i = hi * double(s) / double(points);
-    auto op = context.solve(i);
-    if (!op) break;
-    out << i << "," << thermal::to_celsius(op->peak_tile_temperature) << ","
-        << op->tec_input_power << "\n";
+  for (std::size_t k = 0; k < curve.current_a.size(); ++k) {
+    out << curve.current_a[k] << "," << curve.peak_celsius[k] << ","
+        << curve.tec_power_w[k] << "\n";
   }
   return 0;
 }
 
 int cmd_sensitivity(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const auto engine_opts = parse_engine_options(p, err);
-  if (!engine_opts) return 2;
-  auto res = design_with_fallback(*chip, parse_double(p, "--limit", 85.0), false, false,
-                                  *engine_opts);
-  if (res.deployment.empty()) {
-    err << "error: no TECs deployed; nothing to analyze\n";
-    return 1;
-  }
+  const auto s = deployed_session(p, flag_params(p), "analyze", err);
+  if (!s) return 1;
   core::SensitivityOptions sens;
-  sens.engine = *engine_opts;
-  auto rows = core::device_sensitivities(chip->geometry, chip->tile_powers,
+  sens.engine = s->context->options();
+  auto rows = core::device_sensitivities(s->geometry, s->tile_powers,
                                          tec::TecDeviceParams::chowdhury_superlattice(),
-                                         res.deployment, sens);
+                                         s->design.deployment, sens);
   out << "parameter,d_peak_per_rel,d_lambda_per_rel,d_iopt_per_rel\n";
   for (const auto& r : rows) {
     out << r.parameter << "," << r.peak_per_unit_relative << ","
@@ -401,11 +341,10 @@ int cmd_version(const ParsedArgs&, std::ostream& out, std::ostream&) {
   return 0;
 }
 
-int cmd_validate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  auto rep =
-      thermal::validate_against_reference(chip->geometry, {}, {}, chip->tile_powers);
+int cmd_validate(const ParsedArgs& p, std::ostream& out, std::ostream&) {
+  svc::ChipInput chip = chip_input(p, flag_params(p));
+  svc::resolve_chip(chip);
+  auto rep = thermal::validate_against_reference(chip.geometry, {}, {}, chip.tile_powers);
   out << "coarse nodes: " << rep.coarse_nodes << ", reference nodes: " << rep.reference_nodes
       << "\n";
   out << "max |diff| = " << rep.max_abs_diff << " degC, mean |diff| = " << rep.mean_abs_diff
@@ -443,58 +382,19 @@ int cmd_spec(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// Transient closed-loop scenario, run locally: design a deployment for the
-/// chip, integrate the scenario, and print NDJSON — one frame per line, then
-/// a {"summary": ...} footer. Deterministic for a fixed option set, so the
-/// output is byte-diffable across thread counts.
-int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const floorplan::Floorplan& plan = *chip->plan;
-
-  const double limit = parse_double(p, "--limit", 85.0);
-  auto res = design_with_fallback(*chip, limit, false, false);
-
-  sim::ScenarioOptions opts;
-  opts.benchmark = option_or(p, "--benchmark", "bench00");
-  opts.dt = parse_double(p, "--dt", 1e-3);
-  opts.steps = parse_size(p, "--steps", 500);
-  opts.frame_every = parse_size(p, "--frame-every", 10);
-  opts.control_every = parse_size(p, "--control-every", 10);
-  opts.dtm = p.options.count("--no-dtm") == 0;
-  opts.include_tiles = p.options.count("--tiles") != 0;
-  opts.start_from_steady_state = p.options.count("--cold-start") == 0;
-  opts.policy.theta_limit = thermal::to_kelvin(limit);
-
-  const double current = parse_double(p, "--current", res.current);
-  if (current < 0.0) {
-    err << "error: --current must be >= 0\n";
-    return 2;
-  }
-  const bool has_tec = res.tec_count > 0 && current > 0.0;
-  if (has_tec && opts.dtm) {
-    opts.policy.current_levels = {0.0, 0.5 * current, current};
-  }
-  if (const double on = parse_double(p, "--tec-on", -1.0); on >= 0.0 && has_tec) {
-    opts.schedule.push_back({std::size_t(on), current});
-  }
-  if (const double off = parse_double(p, "--tec-off", -1.0); off >= 0.0 && has_tec) {
-    opts.schedule.push_back({std::size_t(off), 0.0});
-  }
-  if (!opts.dtm && has_tec && opts.schedule.empty()) {
-    opts.schedule.push_back({0, current});
-  }
-
-  sim::ScenarioEngine engine =
-      chip->spec != nullptr
-          ? sim::ScenarioEngine(chip->spec,
-                                tec::TecDeviceParams::chowdhury_superlattice(),
-                                res.deployment, opts)
-          : sim::ScenarioEngine(plan, chip->geometry,
-                                tec::TecDeviceParams::chowdhury_superlattice(),
-                                res.deployment, opts);
+/// Transient closed-loop scenario, run locally on the service's session and
+/// simulate-options mapping: print NDJSON — one frame per line, then a
+/// {"summary": ...} footer. Deterministic for a fixed option set, so the
+/// output is byte-diffable across thread counts and against the service's
+/// streamed frames.
+int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream&) {
+  const io::JsonValue params = flag_params(p);
+  const auto s = session(p, params);
+  const double current = svc::current_param(params).value_or(s->design.current);
+  const sim::ScenarioOptions opts = svc::scenario_options(params, *s, current, 500);
+  sim::ScenarioEngine engine(*s->plan, *s->context, opts);
   auto summary = engine.run([&](const sim::Frame& frame) {
-    out << sim::frame_to_json(frame, plan).dump() << "\n";
+    out << sim::frame_to_json(frame, *s->plan).dump() << "\n";
     return true;
   });
   io::JsonValue footer = io::JsonValue::make_object();
@@ -503,17 +403,12 @@ int cmd_simulate(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   return summary.limit_held_at_end ? 0 : 1;
 }
 
-/// Run the canonical design workload under the continuous profiler and
-/// report where the time went. The workload deliberately mirrors a service
-/// session build (svc session_for): worst-case workload synthesis, design
-/// with run_full_cover=false plus the θ-limit fallback relax loop, a
-/// SolveContext, and λ_m — so the per-kernel *counts* here match a `design`
-/// request served under `serve --profile` exactly (wall times vary run to
-/// run; counts do not).
+/// Run a session build plus the default λ_m — the work a service `design`
+/// then `runaway` request pair does on a cold cache — under the continuous
+/// profiler and report where the time went. Per-kernel *counts* match the
+/// service's exactly (wall times vary run to run; counts do not).
 int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  auto chip = load_chip(p, err);
-  if (!chip) return 2;
-  const double limit = parse_double(p, "--limit", 85.0);
+  const io::JsonValue params = flag_params(p);
   const std::string format = option_or(p, "--format", "table");
   if (format != "table" && format != "json" && format != "collapsed") {
     err << "error: --format must be table, json, or collapsed\n";
@@ -521,18 +416,17 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   }
 
   auto& prof = obs::prof::Profiler::global();
+  struct Off {
+    ~Off() { obs::prof::Profiler::global().disable(); }
+  } off_on_exit;  // also when the session build throws
   prof.enable();
   prof.snapshot(true);  // drop anything recorded before the workload
 
-  auto res = design_with_fallback(*chip, limit, /*full_cover=*/false,
-                                  /*certify=*/false);
-  const engine::SolveContext context =
-      make_context(*chip, res.deployment, engine::EngineOptions{});
+  const auto s = session(p, params);
   std::optional<double> lambda_m;
-  if (!res.deployment.empty()) lambda_m = context.runaway_limit();
+  if (!s->design.deployment.empty()) lambda_m = s->context->runaway_limit();
 
   const obs::prof::ProfileSnapshot snap = prof.snapshot(false);
-  prof.disable();
 
   std::string rendered;
   if (format == "json") {
@@ -542,7 +436,7 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
     rendered = obs::prof::to_collapsed(snap);
   } else {
     std::ostringstream t;
-    t << "profile: " << chip->name << " design, " << res.tec_count << " TECs";
+    t << "profile: " << s->key.chip << " design, " << s->design.tec_count << " TECs";
     if (lambda_m) t << ", lambda_m " << *lambda_m << " A";
     t << "\n";
     const double wall_ms = double(snap.wall_ns) * 1e-6;
@@ -580,7 +474,7 @@ int cmd_profile(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   } else {
     out << rendered;
   }
-  return res.success ? 0 : 1;
+  return s->design.success ? 0 : 1;
 }
 
 // --- service commands -------------------------------------------------------
@@ -731,19 +625,40 @@ void print_recent_table(const io::JsonValue& reply, std::ostream& out) {
   }
 }
 
+/// Send \p request to the service at --socket or --connect and return the
+/// final reply line; streamed frame lines (no "ok" member) that precede it
+/// are passed through to \p out as they arrive. Throws on usage and
+/// transport errors.
+std::string exchange(const ParsedArgs& p, const io::JsonValue& request,
+                     std::ostream& out) {
+  const std::string socket_path = option_or(p, "--socket", "");
+  const std::string connect = option_or(p, "--connect", "");
+  if (socket_path.empty() == connect.empty()) {
+    throw std::invalid_argument(
+        p.command + " needs exactly one of --socket PATH or --connect HOST:PORT");
+  }
+  svc::Client client = socket_path.empty()
+                           ? [&] {
+                               const auto [host, port] = svc::parse_listen_spec(connect);
+                               return svc::Client::connect_tcp(host, port);
+                             }()
+                           : svc::Client::connect_unix(socket_path);
+  client.set_receive_timeout_ms(parse_double(p, "--timeout-ms", 120000.0));
+  client.send_raw(request.dump());
+  while (true) {
+    std::string line = client.read_line();
+    const io::JsonValue reply = io::parse_json(line);
+    if (reply.is_object() && reply.has("ok")) return line;
+    out << line << std::endl;
+  }
+}
+
 int cmd_request(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   const std::string method = option_or(p, "--method", "");
   if (method.empty()) {
     err << "error: request requires --method NAME\n";
     return 2;
   }
-  const std::string socket_path = option_or(p, "--socket", "");
-  const std::string connect = option_or(p, "--connect", "");
-  if (socket_path.empty() == connect.empty()) {
-    err << "error: request needs exactly one of --socket PATH or --connect HOST:PORT\n";
-    return 2;
-  }
-
   io::JsonValue request = io::JsonValue::make_object();
   if (const std::string id = option_or(p, "--id", ""); !id.empty()) {
     request.set("id", io::JsonValue::make_string(id));
@@ -776,25 +691,8 @@ int cmd_request(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   }
 
   try {
-    svc::Client client = socket_path.empty()
-                             ? [&] {
-                                 const auto [host, port] = svc::parse_listen_spec(connect);
-                                 return svc::Client::connect_tcp(host, port);
-                               }()
-                             : svc::Client::connect_unix(socket_path);
-    client.set_receive_timeout_ms(parse_double(p, "--timeout-ms", 120000.0));
-    client.send_raw(request.dump());
-    // A streamed method (simulate) sends zero or more non-final frame lines
-    // (no "ok" member) before the final reply. Pass frames through as they
-    // arrive — in both raw and pretty modes — then render the final reply.
-    std::string reply_line;
-    io::JsonValue reply;
-    while (true) {
-      reply_line = client.read_line();
-      reply = io::parse_json(reply_line);
-      if (reply.is_object() && reply.has("ok")) break;
-      out << reply_line << std::endl;
-    }
+    const std::string reply_line = exchange(p, request, out);
+    const io::JsonValue reply = io::parse_json(reply_line);
     const bool ok = reply.bool_or("ok", false);
     if (method == "recent" && ok && p.options.count("--raw") == 0) {
       print_recent_table(reply, out);
@@ -808,84 +706,72 @@ int cmd_request(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
   }
 }
 
+/// Render a `health` reply: the verdict line, per-scope audit statistics
+/// and any offending scopes.
+void print_health(const io::JsonValue& result, std::ostream& out) {
+  out << "health: " << result.string_or("verdict", "?") << " ("
+      << std::size_t(result.number_or("samples", 0.0)) << " certificates, "
+      << std::size_t(result.number_or("violations", 0.0)) << " violations; "
+      << "audit 1-in-" << std::size_t(result.number_or("audit_every", 0.0))
+      << ", cross-check 1-in-"
+      << std::size_t(result.number_or("cross_check_every", 0.0)) << ", window "
+      << std::size_t(result.number_or("window", 0.0)) << ")\n";
+
+  if (const io::JsonValue* scopes = result.get("scopes");
+      scopes != nullptr && scopes->is_array() && !scopes->as_array().empty()) {
+    out << std::left << std::setw(28) << "scope" << std::right << std::setw(8)
+        << "certs" << std::setw(7) << "viol" << std::setw(7) << "degr"
+        << std::setw(12) << "worst_resid" << std::setw(12) << "worst_bal"
+        << std::setw(8) << "xchk" << std::setw(11) << "drift" << "\n";
+    for (const io::JsonValue& s : scopes->as_array()) {
+      auto ratio_text = [](const io::JsonValue& v, const char* key) {
+        const io::JsonValue* field = v.get(key);
+        if (field == nullptr || !field->is_number() || field->as_number() < 0.0) {
+          return std::string("-");
+        }
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.1e", field->as_number());
+        return std::string(buf);
+      };
+      out << std::left << std::setw(28) << s.string_or("scope", "?")
+          << std::right << std::setw(8)
+          << std::size_t(s.number_or("samples", 0.0)) << std::setw(7)
+          << std::size_t(s.number_or("violations", 0.0)) << std::setw(7)
+          << std::size_t(s.number_or("degraded", 0.0)) << std::setw(12)
+          << ratio_text(s, "worst_rel_residual") << std::setw(12)
+          << ratio_text(s, "worst_energy_balance_rel") << std::setw(8)
+          << std::size_t(s.number_or("cross_checks", 0.0)) << std::setw(11)
+          << ratio_text(s, "last_cross_check_drift") << "\n";
+    }
+  }
+  if (const io::JsonValue* offenders = result.get("offenders");
+      offenders != nullptr && offenders->is_array() &&
+      !offenders->as_array().empty()) {
+    out << "offenders:";
+    for (const io::JsonValue& o : offenders->as_array()) {
+      out << " " << (o.is_string() ? o.as_string() : std::string("?"));
+    }
+    out << "\n";
+  }
+}
+
 /// Ask a running service for its numerical-health verdict and render it.
 /// Exit code: 0 = green, 1 = degraded/red (or error reply), 2 = transport.
 int cmd_health(const ParsedArgs& p, std::ostream& out, std::ostream& err) {
-  const std::string socket_path = option_or(p, "--socket", "");
-  const std::string connect = option_or(p, "--connect", "");
-  if (socket_path.empty() == connect.empty()) {
-    err << "error: health needs exactly one of --socket PATH or --connect HOST:PORT\n";
-    return 2;
-  }
-
   io::JsonValue request = io::JsonValue::make_object();
   request.set("id", io::JsonValue::make_number(1));
   request.set("method", io::JsonValue::make_string("health"));
-
   try {
-    svc::Client client = socket_path.empty()
-                             ? [&] {
-                                 const auto [host, port] = svc::parse_listen_spec(connect);
-                                 return svc::Client::connect_tcp(host, port);
-                               }()
-                             : svc::Client::connect_unix(socket_path);
-    client.set_receive_timeout_ms(parse_double(p, "--timeout-ms", 120000.0));
-    const std::string reply_line = client.call_raw(request.dump());
+    const std::string reply_line = exchange(p, request, out);
     const io::JsonValue reply = io::parse_json(reply_line);
-    if (p.options.count("--raw") != 0) {
-      out << reply_line << std::endl;
-    }
+    const bool raw = p.options.count("--raw") != 0;
+    if (raw) out << reply_line << std::endl;
     if (!reply.bool_or("ok", false)) {
-      if (p.options.count("--raw") == 0) out << reply_line << std::endl;
+      if (!raw) out << reply_line << std::endl;
       return 1;
     }
-    const io::JsonValue& result = reply.at("result");
-    const std::string verdict = result.string_or("verdict", "?");
-    out << "health: " << verdict << " ("
-        << std::size_t(result.number_or("samples", 0.0)) << " certificates, "
-        << std::size_t(result.number_or("violations", 0.0)) << " violations; "
-        << "audit 1-in-" << std::size_t(result.number_or("audit_every", 0.0))
-        << ", cross-check 1-in-"
-        << std::size_t(result.number_or("cross_check_every", 0.0)) << ", window "
-        << std::size_t(result.number_or("window", 0.0)) << ")\n";
-
-    if (const io::JsonValue* scopes = result.get("scopes");
-        scopes != nullptr && scopes->is_array() && !scopes->as_array().empty()) {
-      out << std::left << std::setw(28) << "scope" << std::right << std::setw(8)
-          << "certs" << std::setw(7) << "viol" << std::setw(7) << "degr"
-          << std::setw(12) << "worst_resid" << std::setw(12) << "worst_bal"
-          << std::setw(8) << "xchk" << std::setw(11) << "drift" << "\n";
-      for (const io::JsonValue& s : scopes->as_array()) {
-        auto ratio_text = [](const io::JsonValue& v, const char* key) {
-          const io::JsonValue* field = v.get(key);
-          if (field == nullptr || !field->is_number() || field->as_number() < 0.0) {
-            return std::string("-");
-          }
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.1e", field->as_number());
-          return std::string(buf);
-        };
-        out << std::left << std::setw(28) << s.string_or("scope", "?")
-            << std::right << std::setw(8)
-            << std::size_t(s.number_or("samples", 0.0)) << std::setw(7)
-            << std::size_t(s.number_or("violations", 0.0)) << std::setw(7)
-            << std::size_t(s.number_or("degraded", 0.0)) << std::setw(12)
-            << ratio_text(s, "worst_rel_residual") << std::setw(12)
-            << ratio_text(s, "worst_energy_balance_rel") << std::setw(8)
-            << std::size_t(s.number_or("cross_checks", 0.0)) << std::setw(11)
-            << ratio_text(s, "last_cross_check_drift") << "\n";
-      }
-    }
-    if (const io::JsonValue* offenders = result.get("offenders");
-        offenders != nullptr && offenders->is_array() &&
-        !offenders->as_array().empty()) {
-      out << "offenders:";
-      for (const io::JsonValue& o : offenders->as_array()) {
-        out << " " << (o.is_string() ? o.as_string() : std::string("?"));
-      }
-      out << "\n";
-    }
-    return verdict == "green" ? 0 : 1;
+    print_health(reply.at("result"), out);
+    return reply.at("result").string_or("verdict", "?") == "green" ? 0 : 1;
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 2;
@@ -1014,27 +900,34 @@ class ObsScope {
 // --- command registry -------------------------------------------------------
 
 using CommandHandler = int (*)(const ParsedArgs&, std::ostream&, std::ostream&);
+using Options = std::vector<std::string_view>;
 
 struct CommandSpec {
   const char* name;
   const char* summary;  ///< one line for the global usage text
   /// Option keys this command accepts beyond the global execution /
-  /// observability set (nullptr-terminated).
-  const char* const* options;
+  /// observability set.
+  Options options;
   /// Per-command option help lines (shown by `tfcool <command> --help`).
   const char* option_help;
   CommandHandler handler;
   /// Whether bare (non "--") arguments after the command name are accepted
   /// (the handler reads them from ParsedArgs::positionals).
   bool allow_positionals = false;
+  /// Generated help appended after option_help (e.g. the service's methods).
+  std::string (*more_help)() = nullptr;
 };
 
-const char* kGlobalOptions[] = {"--threads",   "--log-level",   "--log-json",
-                                "--trace-out", "--metrics-out", "--profile-out",
-                                "--help",      nullptr};
+const Options kGlobalOptions = {"--threads",     "--log-level",   "--log-json",
+                                "--trace-out",   "--metrics-out", "--profile-out",
+                                "--help"};
 
-const char* kChipOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                              "--cols", "--die-mm", nullptr};
+/// The chip-selection options followed by \p extra.
+Options chip_options(Options extra = {}) {
+  Options all = {"--chip", "--flp", "--ptrace", "--rows", "--cols", "--die-mm"};
+  all.insert(all.end(), extra.begin(), extra.end());
+  return all;
+}
 
 const char kChipOptionHelp[] =
     "  --chip alpha|hc<N>      built-in benchmark chip (default alpha)\n"
@@ -1050,55 +943,20 @@ const char kSpecOptionHelp[] =
     "                          dies, multi-chip packages, arbitrary grids;\n"
     "                          excludes --chip/--flp\n";
 
-const char* kDesignOptions[] = {"--chip", "--flp", "--ptrace", "--rows", "--cols",
-                                "--die-mm", "--spec", "--limit", "--map", "--json",
-                                "--certify", "--no-full-cover", "--backend",
-                                "--runaway-method", nullptr};
-
-const char* kTable1Options[] = {"--limit", nullptr};
-
-const char* kLimitChipOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                                   "--cols", "--die-mm", "--limit", "--backend",
-                                   "--runaway-method", nullptr};
-
-const char* kRunawayOptions[] = {"--chip", "--flp", "--ptrace", "--rows",
-                                 "--cols", "--die-mm", "--spec", "--limit",
-                                 "--backend", "--runaway-method", nullptr};
-
-const char* kSweepOptions[] = {"--chip", "--flp",    "--ptrace",       "--rows",
-                               "--cols", "--die-mm", "--spec", "--limit",
-                               "--points", "--max-fraction", "--backend",
-                               "--runaway-method", nullptr};
-
-const char* kNoOptions[] = {nullptr};
-
-const char* kSimulateOptions[] = {"--chip",       "--spec",     "--limit",
-                                  "--benchmark",  "--steps",    "--dt",
-                                  "--frame-every", "--control-every", "--current",
-                                  "--tec-on",     "--tec-off",  "--no-dtm",
-                                  "--tiles",      "--cold-start", nullptr};
-
-const char* kServeOptions[] = {"--socket",      "--listen",   "--workers",
-                               "--queue",       "--cache",    "--deadline-ms",
-                               "--prom-addr",   "--slow-ms",  "--recent",
-                               "--trace-file",  "--audit-every",
-                               "--cross-check-every", "--fault-injection",
-                               "--profile",     nullptr};
-
-const char* kProfileOptions[] = {"--chip",   "--flp",    "--ptrace", "--rows",
-                                 "--cols",   "--die-mm", "--spec",   "--limit",
-                                 "--format", "--out",    nullptr};
-
-const char* kHealthOptions[] = {"--socket", "--connect", "--timeout-ms",
-                                "--raw", nullptr};
-
-const char* kRequestOptions[] = {"--socket",      "--connect", "--method",
-                                 "--params",      "--id",      "--deadline-ms",
-                                 "--timeout-ms",  "--trace",   "--trace-id",
-                                 "--raw",         nullptr};
+/// `tfcool request --help` tail: the service's method table.
+std::string request_methods_help() {
+  std::string text = "\nmethods:\n";
+  for (const svc::Server::Method& m : svc::Server::methods()) {
+    text += std::string("  ") + m.name +
+            (m.streaming ? " (streamed: prints each frame line as it arrives)\n" : "\n");
+  }
+  return text;
+}
 
 const CommandSpec kCommands[] = {
-    {"design", "solve the cooling-system configuration problem", kDesignOptions,
+    {"design", "solve the cooling-system configuration problem",
+     chip_options({"--spec", "--limit", "--map", "--json", "--certify", "--no-full-cover",
+                   "--backend", "--runaway-method"}),
      "  --limit C               temperature limit [degC] (default 85)\n"
      "  --map                   print the deployment tile map\n"
      "  --json PATH             write the result as JSON\n"
@@ -1114,9 +972,10 @@ const CommandSpec kCommands[] = {
      "\nchip selection:\n",
      cmd_design},
     {"table1", "reproduce the paper's Table I (all 11 benchmark chips)",
-     kTable1Options, "  --limit C               temperature limit [degC] (default 85)\n",
+     {"--limit"}, "  --limit C               temperature limit [degC] (default 85)\n",
      cmd_table1},
-    {"runaway", "report lambda_m and a supply-current sweep", kRunawayOptions,
+    {"runaway", "report lambda_m and a supply-current sweep",
+     chip_options({"--spec", "--limit", "--backend", "--runaway-method"}),
      "  --limit C               design temperature limit [degC] (default 85)\n"
      "  --backend B             linear backend for point solves\n"
      "                          (cholesky|cg, default cholesky)\n"
@@ -1124,9 +983,11 @@ const CommandSpec kCommands[] = {
      "                          (sparse|schur|dense, default sparse)\n"
      "\nchip selection:\n",
      cmd_runaway},
-    {"validate", "compact-model vs fine-grid agreement", kChipOptions,
+    {"validate", "compact-model vs fine-grid agreement", chip_options(),
      "\nchip selection:\n", cmd_validate},
-    {"sweep", "CSV sweep of peak temperature vs supply current", kSweepOptions,
+    {"sweep", "CSV sweep of peak temperature vs supply current",
+     chip_options({"--spec", "--limit", "--points", "--max-fraction", "--backend",
+                   "--runaway-method"}),
      "  --limit C               design temperature limit [degC] (default 85)\n"
      "  --points N              sweep points (default 25)\n"
      "  --max-fraction F        top of the sweep as a fraction of lambda_m\n"
@@ -1138,12 +999,14 @@ const CommandSpec kCommands[] = {
      "\nchip selection:\n",
      cmd_sweep},
     {"sensitivity", "CSV of device-parameter sensitivities at the design",
-     kLimitChipOptions,
+     chip_options({"--limit", "--backend", "--runaway-method"}),
      "  --limit C               design temperature limit [degC] (default 85)\n"
      "\nchip selection:\n",
      cmd_sensitivity},
     {"simulate", "transient closed-loop DTM scenario, printed as NDJSON",
-     kSimulateOptions,
+     {"--chip", "--spec", "--limit", "--benchmark", "--steps", "--dt", "--frame-every",
+      "--control-every", "--current", "--tec-on", "--tec-off", "--no-dtm", "--tiles",
+      "--cold-start"},
      "  --chip alpha|hc<N>      built-in benchmark chip (default alpha)\n"
      "  --spec FILE             declarative package spec instead of --chip\n"
      "                          (workload phases rasterize per die)\n"
@@ -1166,7 +1029,9 @@ const CommandSpec kCommands[] = {
      "exit code: 0 = limit held at the end, 1 = not held, 2 = usage error.\n",
      cmd_simulate},
     {"serve", "run the persistent solver service (see docs/SERVICE.md)",
-     kServeOptions,
+     {"--socket", "--listen", "--workers", "--queue", "--cache", "--deadline-ms",
+      "--prom-addr", "--slow-ms", "--recent", "--trace-file", "--audit-every",
+      "--cross-check-every", "--fault-injection", "--profile"},
      "  --socket PATH           listen on a unix-domain socket at PATH\n"
      "  --listen HOST:PORT      also/instead listen on TCP (IPv4; port 0 =\n"
      "                          ephemeral, the bound port is printed)\n"
@@ -1193,11 +1058,11 @@ const CommandSpec kCommands[] = {
      "'shutdown' request.\n",
      cmd_serve},
     {"request", "send one request to a running service and print the reply",
-     kRequestOptions,
+     {"--socket", "--connect", "--method", "--params", "--id", "--deadline-ms",
+      "--timeout-ms", "--trace", "--trace-id", "--raw"},
      "  --socket PATH           connect to a unix-domain socket\n"
      "  --connect HOST:PORT     connect over TCP instead\n"
-     "  --method NAME           ping|stats|metrics|recent|health|profile|\n"
-     "                          solve|design|runaway|sweep|simulate|shutdown\n"
+     "  --method NAME           a service method (listed below)\n"
      "  --params JSON           request parameters as a JSON object; solver\n"
      "                          methods accept {\"spec\": PATH} to address a\n"
      "                          declarative package (path read server-side)\n"
@@ -1208,11 +1073,11 @@ const CommandSpec kCommands[] = {
      "  --trace-id ID           client-chosen trace id (echoed in the reply)\n"
      "  --raw                   print the raw reply line even for 'recent'\n"
      "\n'recent' prints a table of the service's last requests; all other\n"
-     "methods print the raw reply line. streamed methods (simulate) print\n"
-     "each frame line as it arrives, then the final reply.\n"
+     "methods print the raw reply line.\n"
      "exit code: 0 = ok reply, 1 = error reply, 2 = transport/usage error.\n",
-     cmd_request},
-    {"health", "numerical-health verdict of a running service", kHealthOptions,
+     cmd_request, false, request_methods_help},
+    {"health", "numerical-health verdict of a running service",
+     {"--socket", "--connect", "--timeout-ms", "--raw"},
      "  --socket PATH           connect to a unix-domain socket\n"
      "  --connect HOST:PORT     connect over TCP instead\n"
      "  --timeout-ms T          client-side reply timeout (default 120000)\n"
@@ -1222,18 +1087,18 @@ const CommandSpec kCommands[] = {
      "exit code: 0 = green, 1 = degraded/red, 2 = transport/usage error.\n",
      cmd_health},
     {"profile", "run the design workload under the profiler and report it",
-     kProfileOptions,
+     chip_options({"--spec", "--limit", "--format", "--out"}),
      "  --limit C               temperature limit [degC] (default 85)\n"
      "  --format F              table|json|collapsed (default table)\n"
      "  --out PATH              write the report to PATH instead of stdout\n"
-     "\nruns the same workload a service session build runs (design with the\n"
-     "theta-limit fallback loop, then lambda_m) under the continuous\n"
+     "\nruns a service session build (design with the theta-limit fallback\n"
+     "loop, solve context) plus the default lambda_m under the continuous\n"
      "profiler; 'table' prints per-kernel self times sorted descending,\n"
      "'collapsed' is flamegraph.pl-compatible, 'json' is the same tree the\n"
      "service 'profile' method returns.\n"
      "\nchip selection:\n",
      cmd_profile},
-    {"spec", "validate or canonicalize a declarative package spec", kNoOptions,
+    {"spec", "validate or canonicalize a declarative package spec", {},
      "  (none beyond the global set)\n"
      "\nsubcommands:\n"
      "  validate FILE           load + validate end-to-end (parse, import\n"
@@ -1244,7 +1109,7 @@ const CommandSpec kCommands[] = {
      "                          content hash is computed over)\n"
      "\nexit code: 0 = valid, 1 = invalid or unreadable, 2 = usage error.\n",
      cmd_spec, /*allow_positionals=*/true},
-    {"version", "print build provenance (git, compiler, build type)", kNoOptions,
+    {"version", "print build provenance (git, compiler, build type)", {},
      "", cmd_version},
 };
 
@@ -1264,13 +1129,12 @@ std::string command_usage(const CommandSpec& spec) {
   text += spec.option_help;
   if (std::string(spec.option_help).find("chip selection") != std::string::npos) {
     text += kChipOptionHelp;
-    for (const char* const* opt = spec.options; *opt; ++opt) {
-      if (std::string("--spec") == *opt) {
-        text += kSpecOptionHelp;
-        break;
-      }
+    const auto& opts = spec.options;
+    if (std::find(opts.begin(), opts.end(), "--spec") != opts.end()) {
+      text += kSpecOptionHelp;
     }
   }
+  if (spec.more_help != nullptr) text += spec.more_help();
   text +=
       "\nglobal options (any command): --threads N, --log-level L,\n"
       "--log-json PATH, --trace-out PATH, --metrics-out PATH,\n"
@@ -1279,13 +1143,10 @@ std::string command_usage(const CommandSpec& spec) {
 }
 
 bool option_allowed(const CommandSpec& spec, const std::string& key) {
-  for (const char* const* opt = kGlobalOptions; *opt; ++opt) {
-    if (key == *opt) return true;
-  }
-  for (const char* const* opt = spec.options; *opt; ++opt) {
-    if (key == *opt) return true;
-  }
-  return false;
+  const auto listed = [&key](const Options& options) {
+    return std::find(options.begin(), options.end(), key) != options.end();
+  };
+  return listed(kGlobalOptions) || listed(spec.options);
 }
 
 }  // namespace

@@ -15,18 +15,10 @@
 #include <string_view>
 #include <thread>
 
-#include "core/cooling_system.h"
-#include "floorplan/alpha21364.h"
-#include "floorplan/random_chip.h"
 #include "io/design_json.h"
-#include "io/spec_json.h"
 #include "obs/build_info.h"
 #include "obs/obs.h"
-#include "power/power_profile.h"
-#include "power/workload.h"
-#include "sim/scenario.h"
-#include "tec/runaway.h"
-#include "thermal/package.h"
+#include "svc/session.h"
 
 namespace tfc::svc {
 
@@ -51,37 +43,17 @@ void close_if_open(int& fd) {
   }
 }
 
-/// Methods with pre-registered per-method latency histograms. Anything else
-/// (unknown methods, shutdown) is bucketed under "other" so a misbehaving
-/// client cannot grow the registry without bound.
-constexpr const char* kMethodLabels[] = {"ping",   "stats",  "solve",
-                                         "design", "runaway", "sweep",
-                                         "metrics", "recent", "health",
-                                         "inject", "simulate", "profile"};
+/// Metric label and span of a request whose method is not in the table.
+/// Unknown methods share it so a misbehaving client cannot grow the
+/// registry without bound.
+constexpr const char* kOtherMethod = "other";
+constexpr const char* kOtherSpan = "svc.method.other";
 
-const char* method_label(const std::string& method) {
-  for (const char* known : kMethodLabels) {
-    if (method == known) return known;
+const Server::Method* find_method(const std::string& name) {
+  for (const Server::Method& method : Server::methods()) {
+    if (name == method.name) return &method;
   }
-  return "other";
-}
-
-/// Static-lifetime span name per method (TFC_SPAN keeps the pointer), so the
-/// profiler/trace tree groups request handling as svc.method.<name>.
-const char* method_span_name(const std::string& method) {
-  if (method == "ping") return "svc.method.ping";
-  if (method == "stats") return "svc.method.stats";
-  if (method == "solve") return "svc.method.solve";
-  if (method == "design") return "svc.method.design";
-  if (method == "runaway") return "svc.method.runaway";
-  if (method == "sweep") return "svc.method.sweep";
-  if (method == "metrics") return "svc.method.metrics";
-  if (method == "recent") return "svc.method.recent";
-  if (method == "health") return "svc.method.health";
-  if (method == "inject") return "svc.method.inject";
-  if (method == "simulate") return "svc.method.simulate";
-  if (method == "profile") return "svc.method.profile";
-  return "svc.method.other";
+  return nullptr;
 }
 
 std::string latency_metric(const char* method) {
@@ -129,12 +101,12 @@ void register_metrics() {
   m.counter("svc.stream.deadline_aborts");
   // Continuous-profiler cost surface (refreshed on every scrape).
   m.gauge("tfc.prof.overhead_ratio");
-  for (const char* method : kMethodLabels) {
-    m.histogram(latency_metric(method));
-    m.histogram(queue_wait_metric(method));
+  for (const Server::Method& method : Server::methods()) {
+    m.histogram(latency_metric(method.name));
+    m.histogram(queue_wait_metric(method.name));
   }
-  m.histogram(latency_metric("other"));
-  m.histogram(queue_wait_metric("other"));
+  m.histogram(latency_metric(kOtherMethod));
+  m.histogram(queue_wait_metric(kOtherMethod));
 }
 
 /// Bind + listen an IPv4 TCP socket per \p spec ("host:port"); returns the
@@ -541,7 +513,8 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  if (request.method == "shutdown") {
+  if (const Method* method = find_method(request.method);
+      method != nullptr && method->handler == nullptr) {
     io::JsonValue result = io::JsonValue::make_object();
     result.set("stopping", io::JsonValue::make_bool(true));
     metrics.counter("svc.replies.ok").increment();
@@ -606,9 +579,10 @@ void Server::worker_loop() {
 void Server::serve_request(Pending& item) {
   auto& metrics = obs::MetricsRegistry::global();
   const auto start = Clock::now();
-  const char* method = method_label(item.request.method);
+  const Method* method = find_method(item.request.method);
+  const char* label = method != nullptr ? method->name : kOtherMethod;
   const double queue_wait = ms_between(item.arrival, start);
-  metrics.histogram(queue_wait_metric(method)).record(queue_wait);
+  metrics.histogram(queue_wait_metric(label)).record(queue_wait);
 
   std::string trace_id = item.request.trace_id;
   if (trace_id.empty()) {
@@ -642,33 +616,40 @@ void Server::serve_request(Pending& item) {
   // request's trace. The scope (and with it the svc.request envelope span)
   // closes before the trace is serialized.
   obs::RequestTrace trace;
-  DispatchInfo info;
   io::JsonValue result;
   bool ok = true;
   ErrorCode err_code = ErrorCode::kInternal;
   std::string err_msg;
-  // Streaming side-channel: a handler may emit any number of non-final
-  // frame lines before its (final) reply. Each frame echoes the request id,
-  // carries a monotone per-request seq, and is refused once the deadline
-  // expires — the handler sees `false` and stops.
-  StreamContext stream;
-  stream.emit = [this, &item, &stream](const io::JsonValue& body) -> bool {
-    if (Clock::now() > item.deadline) return false;
-    io::JsonValue line = io::JsonValue::make_object();
-    line.set("id", item.request.id);
-    line.set("frame", io::JsonValue::make_number(double(stream.frames)));
-    line.set("final", io::JsonValue::make_bool(false));
-    line.set("sim", body);
-    item.conn->send_line(line.dump());
-    ++stream.frames;
-    obs::MetricsRegistry::global().counter("svc.stream.frames").increment();
-    return true;
-  };
+  // Streaming side-channel: a streaming handler may emit any number of
+  // non-final frame lines before its (final) reply. Each frame echoes the
+  // request id, carries a monotone per-request seq, and is refused once the
+  // deadline expires — the handler sees `false` and stops.
+  Call call{item.request.params, rec};
+  if (method != nullptr && method->streaming) {
+    call.emit = [this, &item, &rec](const io::JsonValue& body) -> bool {
+      if (Clock::now() > item.deadline) return false;
+      io::JsonValue line = io::JsonValue::make_object();
+      line.set("id", item.request.id);
+      line.set("frame", io::JsonValue::make_number(double(rec.frames)));
+      line.set("final", io::JsonValue::make_bool(false));
+      line.set("sim", body);
+      item.conn->send_line(line.dump());
+      ++rec.frames;
+      obs::MetricsRegistry::global().counter("svc.stream.frames").increment();
+      return true;
+    };
+  }
   {
     obs::ScopedRequestContext scope(trace_id, &trace);
     TFC_SPAN("svc.request");
     try {
-      result = dispatch(item.request, info, stream);
+      TFC_SPAN(method != nullptr ? method->span.c_str() : kOtherSpan);
+      if (method == nullptr) {
+        throw ProtocolError(ErrorCode::kUnknownMethod,
+                            "unknown method '" + item.request.method + "' (use " +
+                                method_list() + ")");
+      }
+      result = (this->*method->handler)(call);
     } catch (const ProtocolError& e) {
       ok = false;
       err_code = e.code();
@@ -699,15 +680,8 @@ void Server::serve_request(Pending& item) {
     reply = make_error_reply(item.request.id, err_code, err_msg, extras);
   }
   const double latency = ms_between(item.arrival, Clock::now());
-  metrics.histogram(latency_metric(method)).record(latency);
+  metrics.histogram(latency_metric(label)).record(latency);
 
-  rec.chip = info.chip;
-  rec.spec = info.spec;
-  rec.cache = info.cache;
-  rec.backend = info.backend;
-  rec.audit = info.audit;
-  rec.rel_residual = info.rel_residual;
-  rec.energy_balance_rel = info.energy_balance_rel;
   rec.status = ok ? "ok" : error_code_name(err_code);
   rec.latency_ms = latency;
   rec.factorize_ms = double(trace.total_us("sparse_factor") +
@@ -722,7 +696,6 @@ void Server::serve_request(Pending& item) {
   rec.cg_iterations =
       std::uint64_t(trace.total_attr("cg_solve", "iterations") + 0.5);
   rec.span_count = trace.spans().size();
-  rec.frames = stream.frames;
   const auto top = trace.top_self();
   rec.top_kernel = top.name;
   rec.top_self_ms = top.self_ms;
@@ -747,518 +720,342 @@ void Server::serve_request(Pending& item) {
   }
 }
 
-namespace {
-
-/// Package hash of the default single-die geometry — the built-in chips'
-/// SessionKey::package component, computed once.
-const std::string& default_package_hash() {
-  static const std::string hash = io::spec_content_hash(
-      thermal::StackSpec::single_die(thermal::PackageGeometry{}));
-  return hash;
+const std::vector<Server::Method>& Server::methods() {
+  static const std::vector<Method> table = [] {
+    std::vector<Method> t;
+    const auto add = [&t](const char* name, bool streaming,
+                          decltype(Method::handler) handler) {
+      t.push_back({name, streaming, handler, std::string("svc.method.") + name});
+    };
+    add("ping", false, &Server::on_ping);
+    add("stats", false, &Server::on_stats);
+    add("metrics", false, &Server::on_metrics);
+    add("recent", false, &Server::on_recent);
+    add("health", false, &Server::on_health);
+    add("profile", false, &Server::on_profile);
+    add("solve", false, &Server::on_solve);
+    add("design", false, &Server::on_design);
+    add("runaway", false, &Server::on_runaway);
+    add("sweep", false, &Server::on_sweep);
+    add("simulate", true, &Server::on_simulate);
+    add("inject", false, &Server::on_inject);
+    add("shutdown", false, nullptr);  // answered by handle_line
+    return t;
+  }();
+  return table;
 }
 
-}  // namespace
-
-std::shared_ptr<const Session> Server::session_for(const io::JsonValue& params,
-                                                   DispatchInfo& info) {
-  SessionKey key;
-  key.theta_limit_celsius = params.number_or("limit", 85.0);
-  if (!(key.theta_limit_celsius > 0.0) || key.theta_limit_celsius > 500.0) {
-    throw ProtocolError(ErrorCode::kBadRequest,
-                        "'limit' must be in (0, 500] degC");
+std::string method_list() {
+  std::string list;
+  for (const Server::Method& m : Server::methods()) {
+    if (!list.empty()) list += '|';
+    list += m.name;
   }
+  return list;
+}
 
-  // Declarative-package path: "spec" names a StackSpec JSON file. The key
-  // hashes the file's *content*, so two different packages never share a
-  // session (or its cached factorization) even if their names and grids
-  // coincide — and an edited file is a fresh key, never a stale hit.
-  std::shared_ptr<const thermal::StackSpec> spec;
-  const std::string spec_path = params.string_or("spec", "");
-  if (!spec_path.empty()) {
-    try {
-      spec = std::make_shared<const thermal::StackSpec>(io::load_stack_spec(spec_path));
-    } catch (const std::exception& e) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          std::string("bad 'spec': ") + e.what());
-    }
-    key.chip = spec->name.empty() ? "spec" : spec->name;
-    key.tile_rows = spec->total_tile_rows();
-    key.tile_cols = spec->tile_cols();
-    key.package = io::spec_content_hash(*spec);
-    info.spec = key.chip + "@" + key.package;
-  } else {
-    key.chip = params.string_or("chip", "alpha");
-    const thermal::PackageGeometry defaults;
-    key.tile_rows = defaults.tile_rows;
-    key.tile_cols = defaults.tile_cols;
-    key.package = default_package_hash();
-  }
-  info.chip = key.chip;
-
+std::shared_ptr<const Session> Server::session_for(Call& call) {
+  ChipInput chip = chip_input(call.params);
+  call.record.chip = chip.key.chip;
+  if (chip.spec != nullptr) call.record.spec = chip.key.chip + "@" + chip.key.package;
   bool cache_hit = false;
-  auto session = cache_.get_or_build(key, [&spec, &info](const SessionKey& k) {
-    auto session = std::make_shared<Session>();
-    session->key = k;
-    session->spec = spec;
-    session->spec_id = info.spec;
-
-    if (spec != nullptr) {
-      session->plan = std::make_shared<const floorplan::Floorplan>(
-          spec->combined_floorplan());
-      session->tile_powers = spec->tile_powers();
-    } else {
-      floorplan::Floorplan plan = [&] {
-        if (k.chip == "alpha") return floorplan::alpha21364();
-        if (k.chip.rfind("hc", 0) == 0) {
-          std::size_t n = 0;
-          try {
-            n = std::stoul(k.chip.substr(2));
-          } catch (const std::exception&) {
-            n = 0;
-          }
-          if (n >= 1 && n <= 99) return floorplan::hypothetical_chip(n);
-        }
-        throw ProtocolError(ErrorCode::kBadRequest,
-                            "unknown chip '" + k.chip + "' (use alpha or hc<N>)");
-      }();
-      session->geometry = thermal::PackageGeometry{};
-      session->plan = std::make_shared<const floorplan::Floorplan>(std::move(plan));
-      power::WorkloadSynthesizer synth(*session->plan);
-      session->tile_powers =
-          power::worst_case_profile(*session->plan, synth.synthesize_suite(8))
-              .tile_powers();
-    }
-
-    core::DesignRequest req;
-    req.chip_name = k.chip;
-    req.geometry = session->geometry;
-    req.spec = spec;
-    req.tile_powers = session->tile_powers;
-    req.theta_limit_celsius = k.theta_limit_celsius;
-    req.run_full_cover = false;
-    session->design = core::design_cooling_system(req);
-    while (!session->design.success &&
-           req.theta_limit_celsius < k.theta_limit_celsius + 25.0) {
-      req.theta_limit_celsius += 1.0;
-      TFC_LOG_INFO("svc_design_fallback_relax", {"chip", k.chip},
-                   {"theta_limit_c", req.theta_limit_celsius});
-      session->design = core::design_cooling_system(req);
-    }
-
-    session->context =
-        spec != nullptr
-            ? std::make_shared<const engine::SolveContext>(
-                  spec, session->design.deployment, session->tile_powers, req.device,
-                  engine::EngineOptions{})
-            : std::make_shared<const engine::SolveContext>(
-                  session->geometry, session->design.deployment, session->tile_powers,
-                  req.device, engine::EngineOptions{});
-    if (spec != nullptr) {
-      // The synthetic geometry of the assembled model: the spec's virtual
-      // tile grid plus the ambient/convection scalars every consumer reads.
-      session->geometry = session->context->system().model().geometry();
-    }
-    if (!session->design.deployment.empty()) {
-      session->lambda_m = session->context->runaway_limit();
-    }
-    TFC_LOG_INFO("svc_session_built", {"key", k.to_string()},
-                 {"spec", session->spec_id}, {"tecs", session->design.tec_count});
-    return std::shared_ptr<const Session>(session);
-  }, &cache_hit);
-  info.cache = cache_hit ? 1 : 0;
-  info.spec = session->spec_id;
-  info.backend = thermal::backend_name(session->context->options().backend);
+  auto session = cache_.get_or_build(
+      chip.key, [&chip](const SessionKey&) { return build_session(chip); }, &cache_hit);
+  call.record.cache = cache_hit ? 1 : 0;
+  call.record.backend = thermal::backend_name(session->context->options().backend);
   return session;
 }
 
-io::JsonValue Server::dispatch(const Request& request, DispatchInfo& info,
-                               StreamContext& stream) {
+io::JsonValue Server::on_ping(Call& call) {
+  const double delay_ms = call.params.number_or("delay_ms", 0.0);
+  require(delay_ms >= 0.0 && delay_ms <= 60000.0, "'delay_ms' must be in [0, 60000]");
+  if (delay_ms > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
+  }
+  io::JsonValue result = io::JsonValue::make_object();
+  result.set("pong", io::JsonValue::make_bool(true));
+  return result;
+}
+
+io::JsonValue Server::on_stats(Call&) {
   using io::JsonValue;
-  const JsonValue& params = request.params;
-  TFC_SPAN(method_span_name(request.method));
+  JsonValue cache = JsonValue::make_object();
+  cache.set("capacity", JsonValue::make_number(double(cache_.capacity())));
+  cache.set("size", JsonValue::make_number(double(cache_.size())));
+  cache.set("hits", JsonValue::make_number(double(cache_.hits())));
+  cache.set("misses", JsonValue::make_number(double(cache_.misses())));
+  cache.set("evictions", JsonValue::make_number(double(cache_.evictions())));
+  JsonValue result = JsonValue::make_object();
+  result.set("cache", cache);
+  result.set("workers", JsonValue::make_number(double(options_.workers)));
+  result.set("queue_capacity", JsonValue::make_number(double(options_.queue_capacity)));
+  result.set("version", JsonValue::make_string(TFC_BUILD_VERSION));
+  result.set("git", JsonValue::make_string(TFC_BUILD_GIT_DESCRIBE));
+  result.set("pid", JsonValue::make_number(double(::getpid())));
+  result.set("uptime_s", JsonValue::make_number(uptime_seconds()));
+  result.set("rss_bytes", JsonValue::make_number(double(obs::process_rss_bytes())));
+  JsonValue recorder = JsonValue::make_object();
+  recorder.set("capacity", JsonValue::make_number(double(recorder_.capacity())));
+  recorder.set("size", JsonValue::make_number(double(recorder_.size())));
+  recorder.set("total", JsonValue::make_number(double(recorder_.total_added())));
+  result.set("recorder", recorder);
+  return result;
+}
 
-  if (request.method == "ping") {
-    const double delay_ms = params.number_or("delay_ms", 0.0);
-    if (delay_ms < 0.0 || delay_ms > 60000.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'delay_ms' must be in [0, 60000]");
-    }
-    if (delay_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay_ms));
-    }
-    JsonValue result = JsonValue::make_object();
-    result.set("pong", JsonValue::make_bool(true));
-    return result;
+io::JsonValue Server::on_metrics(Call& call) {
+  using io::JsonValue;
+  const std::string format = call.params.string_or("format", "json");
+  require(format == "json" || format == "prometheus",
+          "'format' must be \"json\" or \"prometheus\"");
+  JsonValue result = JsonValue::make_object();
+  result.set("format", JsonValue::make_string(format));
+  if (format == "json") {
+    auto& m = obs::MetricsRegistry::global();
+    m.gauge("process.uptime_seconds").set(uptime_seconds());
+    m.gauge("process.rss_bytes").set(double(obs::process_rss_bytes()));
+    result.set("metrics", io::parse_json(m.to_json()));
+  } else {
+    result.set("text", JsonValue::make_string(prometheus_text()));
   }
+  return result;
+}
 
-  if (request.method == "stats") {
-    JsonValue cache = JsonValue::make_object();
-    cache.set("capacity", JsonValue::make_number(double(cache_.capacity())));
-    cache.set("size", JsonValue::make_number(double(cache_.size())));
-    cache.set("hits", JsonValue::make_number(double(cache_.hits())));
-    cache.set("misses", JsonValue::make_number(double(cache_.misses())));
-    cache.set("evictions", JsonValue::make_number(double(cache_.evictions())));
-    JsonValue result = JsonValue::make_object();
-    result.set("cache", cache);
-    result.set("workers", JsonValue::make_number(double(options_.workers)));
-    result.set("queue_capacity", JsonValue::make_number(double(options_.queue_capacity)));
-    result.set("version", JsonValue::make_string(TFC_BUILD_VERSION));
-    result.set("git", JsonValue::make_string(TFC_BUILD_GIT_DESCRIBE));
-    result.set("pid", JsonValue::make_number(double(::getpid())));
-    result.set("uptime_s", JsonValue::make_number(uptime_seconds()));
-    result.set("rss_bytes", JsonValue::make_number(double(obs::process_rss_bytes())));
-    JsonValue recorder = JsonValue::make_object();
-    recorder.set("capacity", JsonValue::make_number(double(recorder_.capacity())));
-    recorder.set("size", JsonValue::make_number(double(recorder_.size())));
-    recorder.set("total", JsonValue::make_number(double(recorder_.total_added())));
-    result.set("recorder", recorder);
-    return result;
+io::JsonValue Server::on_recent(Call& call) {
+  using io::JsonValue;
+  const auto records =
+      recorder_.recent(integer_param(call.params, "count", 20.0, 1.0, 10000.0));
+  JsonValue requests = JsonValue::make_array();
+  for (const auto& rec : records) requests.push_back(record_to_json(rec));
+  JsonValue result = JsonValue::make_object();
+  result.set("capacity", JsonValue::make_number(double(recorder_.capacity())));
+  result.set("total", JsonValue::make_number(double(recorder_.total_added())));
+  result.set("requests", requests);
+  return result;
+}
+
+io::JsonValue Server::on_health(Call&) {
+  using io::JsonValue;
+  JsonValue result = JsonValue::make_object();
+  result.set("verdict",
+             JsonValue::make_string(obs::health::verdict_name(health_.verdict())));
+  result.set("samples", JsonValue::make_number(double(health_.total_samples())));
+  result.set("violations", JsonValue::make_number(double(health_.total_violations())));
+  result.set("audit_every", JsonValue::make_number(double(options_.audit_every)));
+  result.set("cross_check_every",
+             JsonValue::make_number(double(options_.cross_check_every)));
+  result.set("window", JsonValue::make_number(double(health_.window())));
+
+  const auto& tol = health_.tolerances();
+  JsonValue tolerances = JsonValue::make_object();
+  tolerances.set("max_rel_residual", JsonValue::make_number(tol.max_rel_residual));
+  tolerances.set("max_energy_balance_rel",
+                 JsonValue::make_number(tol.max_energy_balance_rel));
+  tolerances.set("theta_min_k", JsonValue::make_number(tol.theta_min_k));
+  tolerances.set("theta_max_k", JsonValue::make_number(tol.theta_max_k));
+  tolerances.set("max_cross_check_drift",
+                 JsonValue::make_number(tol.max_cross_check_drift));
+  result.set("tolerances", tolerances);
+
+  JsonValue offenders = JsonValue::make_array();
+  for (const auto& scope : health_.offending_scopes()) {
+    offenders.push_back(JsonValue::make_string(scope));
   }
+  result.set("offenders", offenders);
 
-  if (request.method == "metrics") {
-    const std::string format = params.string_or("format", "json");
-    JsonValue result = JsonValue::make_object();
-    result.set("format", JsonValue::make_string(format));
-    if (format == "json") {
-      auto& m = obs::MetricsRegistry::global();
-      m.gauge("process.uptime_seconds").set(uptime_seconds());
-      m.gauge("process.rss_bytes").set(double(obs::process_rss_bytes()));
-      result.set("metrics", io::parse_json(m.to_json()));
-    } else if (format == "prometheus") {
-      result.set("text", JsonValue::make_string(prometheus_text()));
-    } else {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'format' must be \"json\" or \"prometheus\"");
-    }
-    return result;
+  JsonValue scopes = JsonValue::make_array();
+  for (const auto& [name, stats] : health_.snapshot()) {
+    JsonValue s = JsonValue::make_object();
+    s.set("scope", JsonValue::make_string(name));
+    s.set("samples", JsonValue::make_number(double(stats.samples)));
+    s.set("violations", JsonValue::make_number(double(stats.violations)));
+    s.set("degraded", JsonValue::make_number(double(stats.degraded)));
+    s.set("worst_rel_residual",
+          stats.worst_rel_residual < 0.0
+              ? JsonValue::make_null()
+              : JsonValue::make_number(stats.worst_rel_residual));
+    s.set("worst_energy_balance_rel",
+          stats.worst_energy_balance_rel < 0.0
+              ? JsonValue::make_null()
+              : JsonValue::make_number(stats.worst_energy_balance_rel));
+    s.set("cross_checks", JsonValue::make_number(double(stats.cross_checks)));
+    s.set("cross_check_failures",
+          JsonValue::make_number(double(stats.cross_check_failures)));
+    s.set("last_cross_check_drift",
+          stats.last_cross_check_drift < 0.0
+              ? JsonValue::make_null()
+              : JsonValue::make_number(stats.last_cross_check_drift));
+    s.set("window_samples", JsonValue::make_number(double(stats.window_samples)));
+    s.set("window_violations",
+          JsonValue::make_number(double(stats.window_violations)));
+    s.set("window_degraded", JsonValue::make_number(double(stats.window_degraded)));
+    scopes.push_back(s);
   }
+  result.set("scopes", scopes);
+  return result;
+}
 
-  if (request.method == "profile") {
-    const std::string format = params.string_or("format", "json");
-    if (format != "json" && format != "collapsed") {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'format' must be \"json\" or \"collapsed\"");
-    }
-    // windowed=true harvests-and-resets (every frame lands in exactly one
-    // window, like /metrics snapshots); default is cumulative since enable.
-    const bool windowed = params.bool_or("windowed", false);
-    auto& prof = obs::prof::Profiler::global();
-    const obs::prof::ProfileSnapshot snap = prof.snapshot(windowed);
-    obs::MetricsRegistry::global()
-        .gauge("tfc.prof.overhead_ratio")
-        .set(prof.overhead_ratio());
+io::JsonValue Server::on_profile(Call& call) {
+  using io::JsonValue;
+  const std::string format = call.params.string_or("format", "json");
+  require(format == "json" || format == "collapsed",
+          "'format' must be \"json\" or \"collapsed\"");
+  // windowed=true harvests-and-resets (every frame lands in exactly one
+  // window, like /metrics snapshots); default is cumulative since enable.
+  const bool windowed = call.params.bool_or("windowed", false);
+  auto& prof = obs::prof::Profiler::global();
+  const obs::prof::ProfileSnapshot snap = prof.snapshot(windowed);
+  obs::MetricsRegistry::global()
+      .gauge("tfc.prof.overhead_ratio")
+      .set(prof.overhead_ratio());
 
-    JsonValue result = JsonValue::make_object();
-    result.set("format", JsonValue::make_string(format));
-    result.set("enabled", JsonValue::make_bool(snap.enabled));
-    result.set("windowed", JsonValue::make_bool(snap.windowed));
-    result.set("overhead_ratio", JsonValue::make_number(snap.overhead_ratio));
-    // Totals are per-name counts/self-times summed over the whole tree —
-    // the cross-checkable invariant (counts are deterministic for a given
-    // workload; wall times are not).
-    JsonValue totals = JsonValue::make_object();
-    totals.set("count", JsonValue::make_number(double(snap.total_count())));
-    totals.set("self_ms",
-               JsonValue::make_number(double(snap.total_self_ns()) * 1e-6));
-    result.set("totals", totals);
-    if (format == "json") {
-      result.set("profile", io::parse_json(obs::prof::to_json(snap)));
-    } else {
-      result.set("text", JsonValue::make_string(obs::prof::to_collapsed(snap)));
-    }
-    return result;
+  JsonValue result = JsonValue::make_object();
+  result.set("format", JsonValue::make_string(format));
+  result.set("enabled", JsonValue::make_bool(snap.enabled));
+  result.set("windowed", JsonValue::make_bool(snap.windowed));
+  result.set("overhead_ratio", JsonValue::make_number(snap.overhead_ratio));
+  // Totals are per-name counts/self-times summed over the whole tree —
+  // the cross-checkable invariant (counts are deterministic for a given
+  // workload; wall times are not).
+  JsonValue totals = JsonValue::make_object();
+  totals.set("count", JsonValue::make_number(double(snap.total_count())));
+  totals.set("self_ms", JsonValue::make_number(double(snap.total_self_ns()) * 1e-6));
+  result.set("totals", totals);
+  if (format == "json") {
+    result.set("profile", io::parse_json(obs::prof::to_json(snap)));
+  } else {
+    result.set("text", JsonValue::make_string(obs::prof::to_collapsed(snap)));
   }
+  return result;
+}
 
-  if (request.method == "recent") {
-    const double count_d = params.number_or("count", 20.0);
-    if (count_d < 1.0 || count_d > 10000.0 || count_d != std::size_t(count_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'count' must be an integer in [1, 10000]");
-    }
-    const auto records = recorder_.recent(std::size_t(count_d));
-    JsonValue requests = JsonValue::make_array();
-    for (const auto& rec : records) requests.push_back(record_to_json(rec));
-    JsonValue result = JsonValue::make_object();
-    result.set("capacity", JsonValue::make_number(double(recorder_.capacity())));
-    result.set("total", JsonValue::make_number(double(recorder_.total_added())));
-    result.set("requests", requests);
-    return result;
+io::JsonValue Server::on_solve(Call& call) {
+  using io::JsonValue;
+  auto session = session_for(call);
+  const double current = current_param(call.params).value_or(session->design.current);
+  // λ_m before the solve, so the engine's sampled audit and audit_solve
+  // below certify the λ_m margin.
+  std::optional<double> lambda_m;
+  if (!session->design.deployment.empty()) {
+    lambda_m = session->context->runaway_limit();
+    // λ_m margin of the requested operating point, on the svc.request span.
+    if (lambda_m) TFC_SPAN_ATTR("lambda_margin_a", *lambda_m - current);
   }
-
-  if (request.method == "solve") {
-    auto session = session_for(params, info);
-    double current = params.number_or("current", session->design.current);
-    if (current < 0.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'current' must be nonnegative");
-    }
-    if (session->lambda_m) {
-      // λ_m margin of the requested operating point, on the svc.request span.
-      TFC_SPAN_ATTR("lambda_margin_a", *session->lambda_m - current);
-    }
-    std::optional<tec::OperatingPoint> op;
-    try {
-      op = session->context->solve(current);
-    } catch (const engine::CgNonConvergedError& e) {
-      // First-class non-convergence: a typed internal error instead of a
-      // silently-wrong θ, and a degraded mark in the health window.
-      health_.record_degraded(session->key.to_string());
-      throw ProtocolError(ErrorCode::kInternal,
-                          std::string("numerical failure: ") + e.what());
-    }
-    if (!op) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "current " + std::to_string(current) +
-                              " A is at or beyond the runaway limit");
-    }
-    audit_solve(*session, *op, info.cache == 1, info);
-    JsonValue result = JsonValue::make_object();
-    result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("current_a", JsonValue::make_number(current));
-    result.set("peak_celsius",
-               JsonValue::make_number(thermal::to_celsius(op->peak_tile_temperature)));
-    result.set("tec_power_w", JsonValue::make_number(op->tec_input_power));
-    result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
-    result.set("lambda_m_a", session->lambda_m
-                                 ? JsonValue::make_number(*session->lambda_m)
-                                 : JsonValue::make_null());
-    return result;
+  std::optional<tec::OperatingPoint> op;
+  try {
+    op = session->context->solve(current);
+  } catch (const engine::CgNonConvergedError& e) {
+    // First-class non-convergence: a typed internal error instead of a
+    // silently-wrong θ, and a degraded mark in the health window.
+    health_.record_degraded(session->key.to_string());
+    throw ProtocolError(ErrorCode::kInternal,
+                        std::string("numerical failure: ") + e.what());
   }
+  require(op.has_value(),
+          "current " + std::to_string(current) + " A is at or beyond the runaway limit");
+  audit_solve(*session, *op, call);
+  JsonValue result = JsonValue::make_object();
+  result.set("chip", JsonValue::make_string(session->key.chip));
+  result.set("current_a", JsonValue::make_number(current));
+  result.set("peak_celsius",
+             JsonValue::make_number(thermal::to_celsius(op->peak_tile_temperature)));
+  result.set("tec_power_w", JsonValue::make_number(op->tec_input_power));
+  result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
+  result.set("lambda_m_a",
+             lambda_m ? JsonValue::make_number(*lambda_m) : JsonValue::make_null());
+  return result;
+}
 
-  if (request.method == "design") {
-    auto session = session_for(params, info);
-    // Re-use the canonical serializer so the service and `tfcool design
-    // --json` emit byte-identical documents for the same chip.
-    return io::parse_json(io::design_result_to_json(session->design));
+io::JsonValue Server::on_design(Call& call) {
+  // Re-use the canonical serializer so the service and `tfcool design
+  // --json` emit byte-identical documents for the same chip.
+  return io::parse_json(io::design_result_to_json(session_for(call)->design));
+}
+
+io::JsonValue Server::on_runaway(Call& call) {
+  using io::JsonValue;
+  auto session = session_for(call);
+  // The engine default (sparse Lanczos — cheap at any grid size) unless
+  // "method" names another, e.g. for a dense cross-validation; the context
+  // caches λ_m per method.
+  tec::RunawayOptions ropts = session->context->options().runaway;
+  ropts.method = runaway_method_param(call.params, ropts.method);
+  std::optional<double> lambda_m;
+  if (!session->design.deployment.empty()) {
+    lambda_m = session->context->runaway_limit(ropts);
   }
+  JsonValue result = JsonValue::make_object();
+  result.set("chip", JsonValue::make_string(session->key.chip));
+  result.set("method", JsonValue::make_string(tec::runaway_method_name(ropts.method)));
+  result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
+  result.set("lambda_m_a",
+             lambda_m ? JsonValue::make_number(*lambda_m) : JsonValue::make_null());
+  return result;
+}
 
-  if (request.method == "runaway") {
-    auto session = session_for(params, info);
-    // Sessions cache λ_m computed with the engine default (sparse Lanczos —
-    // cheap at any grid size); an explicit "method" recomputes through the
-    // context's per-method cache, e.g. for a dense cross-validation.
-    tec::RunawayOptions ropts = session->context->options().runaway;
-    const std::string method_str =
-        params.string_or("method", tec::runaway_method_name(ropts.method));
-    const auto method = tec::parse_runaway_method(method_str);
-    if (!method) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "unknown runaway method '" + method_str + "' (use " +
-                              tec::runaway_method_list() + ")");
-    }
-    ropts.method = *method;
-    std::optional<double> lambda_m;
-    if (!session->design.deployment.empty()) {
-      lambda_m = session->context->runaway_limit(ropts);
-    }
-    JsonValue result = JsonValue::make_object();
-    result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("method", JsonValue::make_string(tec::runaway_method_name(*method)));
-    result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
-    result.set("lambda_m_a", lambda_m ? JsonValue::make_number(*lambda_m)
-                                      : JsonValue::make_null());
-    return result;
+io::JsonValue Server::on_sweep(Call& call) {
+  using io::JsonValue;
+  auto session = session_for(call);
+  std::optional<double> lambda_m;
+  if (!session->design.deployment.empty()) lambda_m = session->context->runaway_limit();
+  require(lambda_m.has_value(), "no TECs deployed for this session; nothing to sweep");
+  const SweepCurve curve = sweep(call.params, *session->context, *lambda_m);
+  const auto array = [](const std::vector<double>& values) {
+    JsonValue out = JsonValue::make_array();
+    for (double v : values) out.push_back(JsonValue::make_number(v));
+    return out;
+  };
+  JsonValue result = JsonValue::make_object();
+  result.set("chip", JsonValue::make_string(session->key.chip));
+  result.set("lambda_m_a", JsonValue::make_number(*lambda_m));
+  result.set("current_a", array(curve.current_a));
+  result.set("peak_celsius", array(curve.peak_celsius));
+  result.set("tec_power_w", array(curve.tec_power_w));
+  return result;
+}
+
+io::JsonValue Server::on_simulate(Call& call) {
+  using io::JsonValue;
+  auto session = session_for(call);
+  const double current = current_param(call.params).value_or(session->design.current);
+  const sim::ScenarioOptions opts = scenario_options(call.params, *session, current, 200);
+  sim::ScenarioEngine engine(*session->plan, *session->context, opts);
+  const sim::ScenarioSummary summary = engine.run([&](const sim::Frame& frame) {
+    return call.emit(sim::frame_to_json(frame, *session->plan));
+  });
+  if (summary.aborted) {
+    obs::MetricsRegistry::global().counter("svc.stream.deadline_aborts").increment();
+    throw ProtocolError(ErrorCode::kDeadlineExceeded,
+                        "deadline expired mid-stream after " +
+                            std::to_string(summary.frames) + " frames");
   }
+  JsonValue result = JsonValue::make_object();
+  result.set("chip", JsonValue::make_string(session->key.chip));
+  result.set("benchmark", JsonValue::make_string(opts.benchmark));
+  result.set("dtm", JsonValue::make_bool(opts.dtm));
+  result.set("current_a", JsonValue::make_number(current));
+  result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
+  result.set("summary", sim::summary_to_json(summary));
+  return result;
+}
 
-  if (request.method == "sweep") {
-    auto session = session_for(params, info);
-    if (!session->lambda_m) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "no TECs deployed for this session; nothing to sweep");
-    }
-    const double points_d = params.number_or("points", 25.0);
-    if (points_d < 1.0 || points_d > 10000.0 || points_d != std::size_t(points_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'points' must be an integer in [1, 10000]");
-    }
-    const std::size_t points = std::size_t(points_d);
-    const double max_fraction = params.number_or("max_fraction", 0.95);
-    if (!(max_fraction > 0.0) || max_fraction >= 1.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'max_fraction' must be in (0, 1)");
-    }
-    const double hi = max_fraction * *session->lambda_m;
-    JsonValue currents = JsonValue::make_array();
-    JsonValue peaks = JsonValue::make_array();
-    JsonValue powers = JsonValue::make_array();
-    for (std::size_t s = 0; s <= points; ++s) {
-      const double i = hi * double(s) / double(points);
-      auto op = session->context->solve(i);
-      if (!op) break;
-      currents.push_back(JsonValue::make_number(i));
-      peaks.push_back(
-          JsonValue::make_number(thermal::to_celsius(op->peak_tile_temperature)));
-      powers.push_back(JsonValue::make_number(op->tec_input_power));
-    }
-    JsonValue result = JsonValue::make_object();
-    result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("lambda_m_a", JsonValue::make_number(*session->lambda_m));
-    result.set("current_a", currents);
-    result.set("peak_celsius", peaks);
-    result.set("tec_power_w", powers);
-    return result;
-  }
-
-  if (request.method == "health") {
-    using obs::health::ScopeStats;
-    JsonValue result = JsonValue::make_object();
-    result.set("verdict",
-               JsonValue::make_string(obs::health::verdict_name(health_.verdict())));
-    result.set("samples", JsonValue::make_number(double(health_.total_samples())));
-    result.set("violations", JsonValue::make_number(double(health_.total_violations())));
-    result.set("audit_every", JsonValue::make_number(double(options_.audit_every)));
-    result.set("cross_check_every",
-               JsonValue::make_number(double(options_.cross_check_every)));
-    result.set("window", JsonValue::make_number(double(health_.window())));
-
-    const auto& tol = health_.tolerances();
-    JsonValue tolerances = JsonValue::make_object();
-    tolerances.set("max_rel_residual", JsonValue::make_number(tol.max_rel_residual));
-    tolerances.set("max_energy_balance_rel",
-                   JsonValue::make_number(tol.max_energy_balance_rel));
-    tolerances.set("theta_min_k", JsonValue::make_number(tol.theta_min_k));
-    tolerances.set("theta_max_k", JsonValue::make_number(tol.theta_max_k));
-    tolerances.set("max_cross_check_drift",
-                   JsonValue::make_number(tol.max_cross_check_drift));
-    result.set("tolerances", tolerances);
-
-    JsonValue offenders = JsonValue::make_array();
-    for (const auto& scope : health_.offending_scopes()) {
-      offenders.push_back(JsonValue::make_string(scope));
-    }
-    result.set("offenders", offenders);
-
-    JsonValue scopes = JsonValue::make_array();
-    for (const auto& [name, stats] : health_.snapshot()) {
-      JsonValue s = JsonValue::make_object();
-      s.set("scope", JsonValue::make_string(name));
-      s.set("samples", JsonValue::make_number(double(stats.samples)));
-      s.set("violations", JsonValue::make_number(double(stats.violations)));
-      s.set("degraded", JsonValue::make_number(double(stats.degraded)));
-      s.set("worst_rel_residual",
-            stats.worst_rel_residual < 0.0
-                ? JsonValue::make_null()
-                : JsonValue::make_number(stats.worst_rel_residual));
-      s.set("worst_energy_balance_rel",
-            stats.worst_energy_balance_rel < 0.0
-                ? JsonValue::make_null()
-                : JsonValue::make_number(stats.worst_energy_balance_rel));
-      s.set("cross_checks", JsonValue::make_number(double(stats.cross_checks)));
-      s.set("cross_check_failures",
-            JsonValue::make_number(double(stats.cross_check_failures)));
-      s.set("last_cross_check_drift",
-            stats.last_cross_check_drift < 0.0
-                ? JsonValue::make_null()
-                : JsonValue::make_number(stats.last_cross_check_drift));
-      s.set("window_samples", JsonValue::make_number(double(stats.window_samples)));
-      s.set("window_violations",
-            JsonValue::make_number(double(stats.window_violations)));
-      s.set("window_degraded", JsonValue::make_number(double(stats.window_degraded)));
-      scopes.push_back(s);
-    }
-    result.set("scopes", scopes);
-    return result;
-  }
-
-  if (request.method == "inject") {
-    if (!options_.fault_injection) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "fault injection is disabled (start the server with "
-                          "--fault-injection)");
-    }
-    auto session = session_for(params, info);
-    const double offset = params.number_or("theta_offset_k", 1.0);
-    if (!(std::abs(offset) <= 100.0)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'theta_offset_k' must be in [-100, 100]");
-    }
-    session->fault_theta_offset_k.store(offset, std::memory_order_relaxed);
-    TFC_LOG_WARN("svc_fault_injected", {"scope", session->key.to_string()},
-                 {"theta_offset_k", offset});
-    JsonValue result = JsonValue::make_object();
-    result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("theta_offset_k", JsonValue::make_number(offset));
-    return result;
-  }
-
-  if (request.method == "simulate") {
-    auto session = session_for(params, info);
-
-    const double steps_d = params.number_or("steps", 200.0);
-    if (steps_d < 1.0 || steps_d > 100000.0 || steps_d != std::size_t(steps_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'steps' must be an integer in [1, 100000]");
-    }
-    const double dt = params.number_or("dt", 1e-3);
-    if (!(dt > 0.0) || dt > 10.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'dt' must be in (0, 10] seconds");
-    }
-    const double frame_every_d = params.number_or("frame_every", 10.0);
-    const double control_every_d = params.number_or("control_every", 10.0);
-    if (frame_every_d < 1.0 || frame_every_d != std::size_t(frame_every_d) ||
-        control_every_d < 1.0 || control_every_d != std::size_t(control_every_d)) {
-      throw ProtocolError(ErrorCode::kBadRequest,
-                          "'frame_every'/'control_every' must be positive integers");
-    }
-    const double current = params.number_or("current", session->design.current);
-    if (current < 0.0) {
-      throw ProtocolError(ErrorCode::kBadRequest, "'current' must be nonnegative");
-    }
-
-    sim::ScenarioOptions opts;
-    opts.benchmark = params.string_or("benchmark", "bench00");
-    opts.steps = std::size_t(steps_d);
-    opts.dt = dt;
-    opts.frame_every = std::size_t(frame_every_d);
-    opts.control_every = std::size_t(control_every_d);
-    opts.dtm = params.bool_or("dtm", true);
-    opts.include_tiles = params.bool_or("tiles", false);
-    opts.policy.theta_limit = thermal::to_kelvin(session->key.theta_limit_celsius);
-    if (opts.dtm && current > 0.0 && session->design.tec_count > 0) {
-      // Closed loop: the controller may idle, half-drive, or fully drive the
-      // designed deployment against the θ-limit.
-      opts.policy.current_levels = {0.0, 0.5 * current, current};
-    }
-    // Optional forced TEC schedule (a floor under the controller; the whole
-    // supply when the controller is off).
-    const double on_step_d = params.number_or("tec_on_step", -1.0);
-    const double off_step_d = params.number_or("tec_off_step", -1.0);
-    if (on_step_d >= 0.0) {
-      opts.schedule.push_back({std::size_t(on_step_d), current});
-      if (off_step_d > on_step_d) {
-        opts.schedule.push_back({std::size_t(off_step_d), 0.0});
-      }
-    } else if (!opts.dtm && current > 0.0 && session->design.tec_count > 0) {
-      opts.schedule.push_back({0, current});
-    }
-
-    sim::ScenarioEngine engine(*session->plan, *session->context, opts);
-    const sim::ScenarioSummary summary = engine.run([&](const sim::Frame& frame) {
-      return stream.emit(sim::frame_to_json(frame, *session->plan));
-    });
-    if (summary.aborted) {
-      obs::MetricsRegistry::global().counter("svc.stream.deadline_aborts").increment();
-      throw ProtocolError(ErrorCode::kDeadlineExceeded,
-                          "deadline expired mid-stream after " +
-                              std::to_string(summary.frames) + " frames");
-    }
-
-    JsonValue result = JsonValue::make_object();
-    result.set("chip", JsonValue::make_string(session->key.chip));
-    result.set("benchmark", JsonValue::make_string(opts.benchmark));
-    result.set("dtm", JsonValue::make_bool(opts.dtm));
-    result.set("current_a", JsonValue::make_number(current));
-    result.set("tec_count", JsonValue::make_number(double(session->design.tec_count)));
-    result.set("summary", sim::summary_to_json(summary));
-    return result;
-  }
-
-  throw ProtocolError(
-      ErrorCode::kUnknownMethod,
-      "unknown method '" + request.method +
-          "' (use ping|stats|metrics|recent|health|profile|solve|design|"
-          "runaway|sweep|simulate|shutdown)");
+io::JsonValue Server::on_inject(Call& call) {
+  using io::JsonValue;
+  require(options_.fault_injection,
+          "fault injection is disabled (start the server with --fault-injection)");
+  auto session = session_for(call);
+  const double offset = call.params.number_or("theta_offset_k", 1.0);
+  require(std::abs(offset) <= 100.0, "'theta_offset_k' must be in [-100, 100]");
+  session->fault_theta_offset_k.store(offset, std::memory_order_relaxed);
+  TFC_LOG_WARN("svc_fault_injected", {"scope", session->key.to_string()},
+               {"theta_offset_k", offset});
+  JsonValue result = JsonValue::make_object();
+  result.set("chip", JsonValue::make_string(session->key.chip));
+  result.set("theta_offset_k", JsonValue::make_number(offset));
+  return result;
 }
 
 void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
-                         bool cache_hit, DispatchInfo& info) {
+                         Call& call) {
   if (options_.audit_every == 0 || session.context == nullptr) return;
   const std::uint64_t seq = audit_seq_.fetch_add(1, std::memory_order_relaxed);
   if (seq % options_.audit_every != 0) return;
@@ -1281,9 +1078,9 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
   const obs::health::Certificate cert = session.context->audit(*audited);
   metrics.counter("svc.audit.samples").increment();
   const bool ok = health_.record_certificate(scope, cert);
-  info.audit = ok ? 1 : 0;
-  info.rel_residual = cert.rel_residual;
-  info.energy_balance_rel = cert.energy_balance_rel;
+  call.record.audit = ok ? 1 : 0;
+  call.record.rel_residual = cert.rel_residual;
+  call.record.energy_balance_rel = cert.energy_balance_rel;
   if (!ok) {
     metrics.counter("svc.audit.violations").increment();
     TFC_LOG_WARN("svc_audit_violation", {"scope", scope},
@@ -1293,7 +1090,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
   // Sampled backend cross-check on cache hits: an independent CG solve of
   // the same pencil catches a stale or corrupted cached factor, which the
   // residual — computed against the same matrices — cannot.
-  if (options_.cross_check_every == 0 || !cache_hit) return;
+  if (options_.cross_check_every == 0 || call.record.cache != 1) return;
   const std::uint64_t xseq = cross_check_seq_.fetch_add(1, std::memory_order_relaxed);
   if (xseq % options_.cross_check_every != 0) return;
 
@@ -1320,7 +1117,7 @@ void Server::audit_solve(const Session& session, const tec::OperatingPoint& op,
   if (!health_.record_cross_check(scope, drift)) {
     metrics.counter("svc.audit.cross_check_failures").increment();
     metrics.counter("svc.audit.violations").increment();
-    info.audit = 0;
+    call.record.audit = 0;
     TFC_LOG_WARN("svc_cross_check_drift", {"scope", scope}, {"drift", drift});
   }
 }

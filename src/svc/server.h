@@ -109,7 +109,26 @@ struct ServerOptions {
 /// std::runtime_error on failure); run() serves until a shutdown request,
 /// request_stop(), or a byte written to signal_fd().
 class Server {
+  struct Call;
+
  public:
+  /// One row of the method table.
+  struct Method {
+    const char* name;
+    /// The reply is preceded by streamed frame lines (see Call::emit).
+    bool streaming;
+    /// Null for `shutdown`, which the reader thread answers at once: queued
+    /// behind other work, it could not drain that work.
+    io::JsonValue (Server::*handler)(Call& call);
+    /// "svc.method.<name>", the request's span (static lifetime for TFC_SPAN).
+    std::string span;
+  };
+
+  /// The method table: the one list of methods the service answers. It
+  /// drives dispatch, the per-method span and metric labels, the
+  /// unknown-method message and `tfcool request --help`.
+  static const std::vector<Method>& methods();
+
   explicit Server(ServerOptions options);
   ~Server();
 
@@ -143,24 +162,17 @@ class Server {
   struct Connection;
   struct Pending;
 
-  /// What dispatch learned about a request, for the flight record.
-  struct DispatchInfo {
-    std::string chip;     ///< "" for non-solver methods
-    std::string spec;     ///< "name@hash" for StackSpec sessions, else ""
-    int cache = -1;       ///< session-cache outcome: -1 n/a, 0 miss, 1 hit
-    std::string backend;  ///< engine backend name; "" for non-solver methods
-    int audit = -1;       ///< health audit: -1 not audited, 0 failed, 1 passed
-    double rel_residual = -1.0;        ///< audit certificate, when audited
-    double energy_balance_rel = -1.0;  ///< audit certificate, when audited
-  };
-
-  /// Streaming side-channel of one in-flight request: emit() writes one
-  /// seq-numbered non-final frame line to the request's connection, echoing
-  /// its id, and returns false once the request's deadline has expired (the
-  /// handler should then stop streaming). Owned by serve_request.
-  struct StreamContext {
+  /// One request in its handler: the params it reads, its flight record
+  /// (the handler fills chip/spec/cache/backend/audit fields), and its
+  /// streaming side-channel.
+  struct Call {
+    const io::JsonValue& params;
+    obs::RequestRecord& record;
+    /// Streaming methods only: writes one seq-numbered non-final frame line
+    /// to the request's connection, echoing its id, counts it in
+    /// record.frames, and returns false once the request's deadline has
+    /// expired (the handler then stops).
     std::function<bool(const io::JsonValue& body)> emit;
-    std::uint64_t frames = 0;
   };
 
   void accept_loop();
@@ -169,18 +181,30 @@ class Server {
   void http_loop();
   void handle_line(const std::shared_ptr<Connection>& conn, const std::string& line);
   void serve_request(Pending& item);
-  io::JsonValue dispatch(const Request& request, DispatchInfo& info,
-                         StreamContext& stream);
 
-  std::shared_ptr<const Session> session_for(const io::JsonValue& params,
-                                             DispatchInfo& info);
+  /// The method table's handlers, one per method.
+  io::JsonValue on_ping(Call& call);
+  io::JsonValue on_stats(Call& call);
+  io::JsonValue on_metrics(Call& call);
+  io::JsonValue on_recent(Call& call);
+  io::JsonValue on_health(Call& call);
+  io::JsonValue on_profile(Call& call);
+  io::JsonValue on_solve(Call& call);
+  io::JsonValue on_design(Call& call);
+  io::JsonValue on_runaway(Call& call);
+  io::JsonValue on_sweep(Call& call);
+  io::JsonValue on_simulate(Call& call);
+  io::JsonValue on_inject(Call& call);
+
+  /// The cached session the call's params address (session.h builds it on
+  /// a miss).
+  std::shared_ptr<const Session> session_for(Call& call);
 
   /// Sampled numerical-health audit of one successful `solve`: certify the
   /// operating point (applying any injected fault first), feed the health
   /// monitor and svc.audit.* metrics, and — 1-in-cross_check_every audited
   /// cache hits — re-solve with the CG backend and compare θ.
-  void audit_solve(const Session& session, const tec::OperatingPoint& op,
-                   bool cache_hit, DispatchInfo& info);
+  void audit_solve(const Session& session, const tec::OperatingPoint& op, Call& call);
 
   /// Registry rendered as Prometheus text, with the process.* gauges
   /// (uptime, RSS) refreshed first.
@@ -224,5 +248,8 @@ class Server {
 /// Split a "host:port" listen spec (empty host = "127.0.0.1"). Throws
 /// std::invalid_argument on a malformed spec or port outside [0, 65535].
 std::pair<std::string, int> parse_listen_spec(const std::string& spec);
+
+/// The method table's names joined with '|', in table order.
+std::string method_list();
 
 }  // namespace tfc::svc

@@ -54,16 +54,15 @@ struct SessionKey {
   friend bool operator==(const SessionKey&, const SessionKey&) = default;
 };
 
-/// A fully prepared solver context for one key.
+/// A fully prepared solver context for one key (built by build_session,
+/// session.h).
 struct Session {
   SessionKey key;
+  /// Single-die package (built-in chips and imports); unused with a spec.
   thermal::PackageGeometry geometry;
   /// Declarative package the session was designed on; null for the built-in
   /// chips (default single-die geometry).
   std::shared_ptr<const thermal::StackSpec> spec;
-  /// "name@hash" spec identity for logs and the flight recorder; "" for
-  /// built-in chips.
-  std::string spec_id;
   /// The chip's floorplan (unit structure — the `simulate` method rasterizes
   /// workload phases and resolves DTM actions against it).
   std::shared_ptr<const floorplan::Floorplan> plan;
@@ -72,9 +71,8 @@ struct Session {
   /// Solve engine assembled for the designed deployment; carries the shared
   /// symbolic Cholesky analysis and the pooled solve workspaces, so solves
   /// at any current are numeric-only and allocation-free.
+  /// λ_m is computed on first use and cached here (runaway_limit()).
   std::shared_ptr<const engine::SolveContext> context;
-  /// λ_m of the deployment (nullopt when no TECs were deployed).
-  std::optional<double> lambda_m;
   /// Test-only fault injection (`inject` method behind --fault-injection):
   /// a uniform perturbation [K] the server adds to this session's solved θ
   /// before auditing/cross-checking, simulating a corrupted cached factor.

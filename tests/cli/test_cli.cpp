@@ -5,6 +5,8 @@
 
 #include "io/json.h"
 #include "obs/obs.h"
+#include "svc/client.h"
+#include "svc/server.h"
 
 #include <algorithm>
 #include <cctype>
@@ -616,8 +618,8 @@ TEST(Cli, ProfileOutWritesCollapsedAndIsScopedToOneInvocation) {
   fs::remove(folded);
 }
 
-/// PR 9 acceptance: `tfcool profile` and the service `profile` method see
-/// the same workload — a session build for the same chip/limit — so their
+/// `tfcool profile` and the service `profile` method see the same workload
+/// — a session build plus the default λ_m for the same chip/limit — so their
 /// per-kernel frame counts must agree exactly (wall times vary; counts are
 /// deterministic).
 TEST(Cli, ServeProfileEndToEndMatchesCliProfileCounts) {
@@ -651,6 +653,10 @@ TEST(Cli, ServeProfileEndToEndMatchesCliProfileCounts) {
 
   auto design = request({"--method", "design", "--params", R"({"chip": "alpha"})"});
   ASSERT_EQ(design.code, 0) << design.err;
+  // `tfcool profile` is a session build plus the default λ_m; the session
+  // computes λ_m on first use, which `runaway` asks for.
+  auto runaway = request({"--method", "runaway", "--params", R"({"chip": "alpha"})"});
+  ASSERT_EQ(runaway.code, 0) << runaway.err;
 
   // The collapsed form is servable text.
   auto collapsed =
@@ -728,6 +734,150 @@ TEST(Cli, ServeProfileEndToEndMatchesCliProfileCounts) {
 
   fs::remove(json_path);
   fs::remove(sock);
+}
+
+/// An in-process service for the parity tests below.
+class InProcessServer {
+ public:
+  explicit InProcessServer(const std::string& tag) : server_(options(tag)) {
+    thread_ = std::thread([this] { server_.run(); });
+  }
+  ~InProcessServer() {
+    server_.request_stop();
+    thread_.join();
+  }
+  svc::Client client() {
+    return svc::Client::connect_unix(server_.options().socket_path);
+  }
+
+ private:
+  static svc::ServerOptions options(const std::string& tag) {
+    svc::ServerOptions o;
+    o.socket_path = (std::filesystem::temp_directory_path() /
+                     ("tfcool_cli_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
+                        .string();
+    o.workers = 1;
+    return o;
+  }
+
+  svc::Server server_;
+  std::thread thread_;
+};
+
+/// The CLI runs on the service's session builder, sweep loop and
+/// simulate-options mapping, so both surfaces print the same numbers for the
+/// same chip: simulate frames and summary, the sweep CSV, and λ_m to the
+/// last digit.
+TEST(Cli, CliAndServiceAgreeOnSimulateSweepAndRunaway) {
+  InProcessServer server("parity");
+  auto client = server.client();
+  const std::string spec = std::string(TFC_EXAMPLES_DIR) + "/paper_single_die.json";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> sources = {
+      {{"--chip", "alpha"}, R"({"chip": "alpha"})"},
+      {{"--spec", spec}, R"({"spec": ")" + spec + R"("})"},
+  };
+  for (const auto& [flags, params_text] : sources) {
+    SCOPED_TRACE(params_text);
+    auto with = [&flags = flags](std::vector<std::string> args) {
+      args.insert(args.begin() + 1, flags.begin(), flags.end());
+      return args;
+    };
+
+    // simulate: CLI NDJSON lines vs the streamed `sim` bodies + summary.
+    auto sim = run(with({"simulate", "--steps", "200", "--tiles"}));
+    ASSERT_NE(sim.code, 2) << sim.err;
+    io::JsonValue params = io::parse_json(params_text);
+    params.set("steps", io::JsonValue::make_number(200));
+    params.set("tiles", io::JsonValue::make_bool(true));
+    io::JsonValue request = io::JsonValue::make_object();
+    request.set("id", io::JsonValue::make_number(1));
+    request.set("method", io::JsonValue::make_string("simulate"));
+    request.set("params", params);
+    client.send_raw(request.dump());
+    std::vector<std::string> service_lines;
+    while (true) {
+      const io::JsonValue line = io::parse_json(client.read_line());
+      if (line.has("ok")) {
+        ASSERT_TRUE(line.at("ok").as_bool()) << line.dump();
+        io::JsonValue footer = io::JsonValue::make_object();
+        footer.set("summary", line.at("result").at("summary"));
+        service_lines.push_back(footer.dump());
+        break;
+      }
+      service_lines.push_back(line.at("sim").dump());
+    }
+    std::vector<std::string> cli_lines;
+    std::istringstream cli_out(sim.out);
+    for (std::string line; std::getline(cli_out, line);) {
+      cli_lines.push_back(io::parse_json(line).dump());
+    }
+    EXPECT_GT(cli_lines.size(), 2u);
+    EXPECT_EQ(cli_lines, service_lines);
+
+    // sweep: the CLI CSV vs the service arrays printed the same way.
+    auto sweep = run(with({"sweep", "--points", "5"}));
+    ASSERT_EQ(sweep.code, 0) << sweep.err;
+    io::JsonValue sweep_params = io::parse_json(params_text);
+    sweep_params.set("points", io::JsonValue::make_number(5));
+    const auto swept = client.call("sweep", sweep_params);
+    ASSERT_TRUE(swept.at("ok").as_bool()) << swept.dump();
+    const auto& result = swept.at("result");
+    std::ostringstream csv;
+    csv << "current_a,peak_degc,ptec_w\n";
+    for (std::size_t k = 0; k < result.at("current_a").as_array().size(); ++k) {
+      csv << result.at("current_a").as_array()[k].as_number() << ","
+          << result.at("peak_celsius").as_array()[k].as_number() << ","
+          << result.at("tec_power_w").as_array()[k].as_number() << "\n";
+    }
+    EXPECT_EQ(sweep.out, csv.str());
+
+    // runaway: the full-precision λ_m line vs lambda_m_a.
+    auto runaway = run(with({"runaway"}));
+    ASSERT_EQ(runaway.code, 0) << runaway.err;
+    const auto lm = client.call("runaway", io::parse_json(params_text));
+    ASSERT_TRUE(lm.at("ok").as_bool()) << lm.dump();
+    char lm_full[32];
+    std::snprintf(lm_full, sizeof(lm_full), "%.17g",
+                  lm.at("result").at("lambda_m_a").as_number());
+    EXPECT_NE(runaway.out.find(std::string("lambda_m = ") + lm_full + " A\n"),
+              std::string::npos)
+        << runaway.out << " vs " << lm_full;
+  }
+}
+
+/// The method table is the one list of service methods: `tfcool request
+/// --help`, the unknown-method message and the pre-registered per-method
+/// latency histograms all come from it.
+TEST(Cli, MethodTableDrivesHelpUnknownMethodAndMetrics) {
+  InProcessServer server("methods");
+  auto client = server.client();
+  const auto unknown = client.call("frobnicate");
+  ASSERT_EQ(unknown.at("error").at("code").as_string(), "unknown_method");
+  const std::string message = unknown.at("error").at("message").as_string();
+  const std::size_t open = message.find("(use ") + 5;
+  const std::string listed = "|" + message.substr(open, message.rfind(')') - open) + "|";
+
+  const auto help = run({"request", "--help"});
+  ASSERT_EQ(help.code, 0);
+  const std::string methods_help = help.out.substr(help.out.find("methods:"));
+
+  std::vector<std::string> histograms;
+  for (const auto& entry : obs::MetricsRegistry::global().snapshot().histograms) {
+    histograms.push_back(entry.first);
+  }
+
+  ASSERT_FALSE(svc::Server::methods().empty());
+  for (const auto& method : svc::Server::methods()) {
+    const std::string name = method.name;
+    EXPECT_NE(listed.find("|" + name + "|"), std::string::npos)
+        << name << " missing from: " << message;
+    EXPECT_NE(methods_help.find(" " + name), std::string::npos)
+        << name << " missing from request --help";
+    EXPECT_NE(std::find(histograms.begin(), histograms.end(),
+                        obs::labeled_name("svc.latency_ms", {{"method", name}})),
+              histograms.end())
+        << name << " latency histogram is not pre-registered";
+  }
 }
 
 TEST(Cli, ImportedChipDesign) {

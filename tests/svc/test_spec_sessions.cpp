@@ -179,5 +179,42 @@ TEST(ServiceSpec, DesignMethodAcceptsSpec) {
   EXPECT_EQ(reply.at("result").at("chip").as_string(), "sess-design");
 }
 
+/// `design` and `simulate` never need λ_m, so they are served on a package
+/// whose λ_m eigensolve does not converge; the methods that report λ_m
+/// (solve, sweep, runaway) still return its typed internal error.
+TEST(ServiceSpec, DesignAndSimulateDoNotNeedLambdaM) {
+  ServerFixture fx(quick_options("dualchip"));
+  auto client = Client::connect_unix(fx.server().options().socket_path);
+  io::JsonValue params = io::JsonValue::make_object();
+  params.set("spec", io::JsonValue::make_string(std::string(TFC_EXAMPLES_DIR) +
+                                                "/dual_chip_shared_sink.json"));
+
+  auto design = client.call("design", params);
+  ASSERT_TRUE(design.at("ok").as_bool()) << design.dump();
+  EXPECT_EQ(design.at("result").at("chip").as_string(), "dual-chip-shared-sink");
+  EXPECT_GT(design.at("result").at("tec_count").as_number(), 0.0);
+
+  io::JsonValue sim = io::JsonValue::make_object();
+  sim.set("id", io::JsonValue::make_number(1));
+  sim.set("method", io::JsonValue::make_string("simulate"));
+  io::JsonValue sim_params = params;
+  sim_params.set("steps", io::JsonValue::make_number(20));
+  sim.set("params", sim_params);
+  client.send_raw(sim.dump());
+  io::JsonValue reply = io::parse_json(client.read_line());
+  while (!reply.has("ok")) reply = io::parse_json(client.read_line());  // skip frames
+  ASSERT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+  EXPECT_DOUBLE_EQ(reply.at("result").at("summary").at("steps").as_number(), 20.0);
+
+  for (const char* method : {"solve", "sweep", "runaway"}) {
+    auto failed = client.call(method, params);
+    ASSERT_FALSE(failed.at("ok").as_bool()) << method << ": " << failed.dump();
+    EXPECT_EQ(failed.at("error").at("code").as_string(), "internal") << method;
+    EXPECT_NE(failed.at("error").at("message").as_string().find("Lanczos"),
+              std::string::npos)
+        << method << ": " << failed.dump();
+  }
+}
+
 }  // namespace
 }  // namespace tfc::svc
