@@ -41,37 +41,12 @@ inline std::vector<BenchChip> table1_chips() {
   });
 }
 
-/// A DesignResult plus the fallback policy's retry history, so benches can
-/// report *which* θ-limits were attempted, not just the final one.
-struct FallbackDesignResult : core::DesignResult {
-  /// Every θ-limit tried, in order (first entry is the starting limit, the
-  /// last is the limit of the returned result).
-  std::vector<double> attempted_limits;
-  std::size_t attempts() const { return attempted_limits.size(); }
-};
-
-/// Run the design with the paper's fallback policy: start at 85 °C and relax
-/// by 1 °C until GreedyDeploy succeeds (paper: HC06 → 89 °C, HC09 → 88 °C).
-/// Each relaxation step is logged at INFO (`design_fallback_relax`).
-inline FallbackDesignResult design_with_fallback(const BenchChip& chip,
-                                                 double start_limit = 85.0,
-                                                 double max_limit = 110.0) {
+/// core::design_with_fallback on a Table-I chip from the paper's 85 °C.
+inline core::FallbackDesignResult design_with_fallback(const BenchChip& chip) {
   core::DesignRequest req;
   req.chip_name = chip.name;
   req.tile_powers = chip.tile_powers;
-  req.theta_limit_celsius = start_limit;
-  FallbackDesignResult fb;
-  fb.attempted_limits.push_back(start_limit);
-  static_cast<core::DesignResult&>(fb) = core::design_cooling_system(req);
-  while (!fb.success && req.theta_limit_celsius < max_limit) {
-    req.theta_limit_celsius += 1.0;
-    fb.attempted_limits.push_back(req.theta_limit_celsius);
-    TFC_LOG_INFO("design_fallback_relax", {"chip", chip.name},
-                 {"theta_limit_c", req.theta_limit_celsius},
-                 {"attempt", fb.attempted_limits.size()});
-    static_cast<core::DesignResult&>(fb) = core::design_cooling_system(req);
-  }
-  return fb;
+  return core::design_with_fallback(req);
 }
 
 /// Accumulates per-chip metrics snapshots and writes them as one JSON file,

@@ -72,6 +72,20 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   return res;
 }
 
+FallbackDesignResult design_with_fallback(DesignRequest request) {
+  const double max_limit = request.theta_limit_celsius + 25.0;
+  FallbackDesignResult result;
+  while (true) {
+    result.attempted_limits.push_back(request.theta_limit_celsius);
+    static_cast<DesignResult&>(result) = design_cooling_system(request);
+    if (result.success || request.theta_limit_celsius >= max_limit) return result;
+    request.theta_limit_celsius += 1.0;
+    TFC_LOG_INFO("design_fallback_relax", {"chip", request.chip_name},
+                 {"theta_limit_c", request.theta_limit_celsius},
+                 {"attempt", result.attempted_limits.size() + 1});
+  }
+}
+
 std::string deployment_map(const TileMask& deployment) {
   std::string out;
   out.reserve((deployment.cols() + 1) * deployment.rows());

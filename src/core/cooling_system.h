@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/convexity.h"
@@ -75,6 +76,20 @@ struct DesignResult {
 
 /// Solve Problem 1 on one chip and assemble the Table-I row.
 DesignResult design_cooling_system(const DesignRequest& request);
+
+/// A DesignResult plus the θ-limits the fallback policy tried.
+struct FallbackDesignResult : DesignResult {
+  /// Every θ-limit tried [°C], in order: the request's limit first, the
+  /// returned result's limit last.
+  std::vector<double> attempted_limits;
+  std::size_t attempts() const { return attempted_limits.size(); }
+};
+
+/// design_cooling_system under the paper's fallback policy: while greedy
+/// deployment fails, relax the θ-limit by 1 °C, up to 25 °C above the
+/// request's (paper: HC06 → 89 °C, HC09 → 88 °C). Each relaxation is logged
+/// at INFO (`design_fallback_relax`).
+FallbackDesignResult design_with_fallback(DesignRequest request);
 
 /// Render a deployment mask as an ASCII tile map ('#' = TEC, '.' = bare),
 /// the textual equivalent of Figure 7(b).

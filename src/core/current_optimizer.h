@@ -4,13 +4,15 @@
 /// 0 ≤ i < λ_m.
 ///
 /// Under Conjecture 1 the objective is convex on [0, λ_m) (Theorem 3 + the
-/// Theorem 4 certificate), so both solvers find the global optimum:
-///  - golden-section search (robust, derivative-free, exact for unimodal
-///    objectives), and
-///  - the paper's gradient descent with backtracking, using the analytic
-///    subgradient dθ_{k*}/di at the hottest tile.
+/// Theorem 4 certificate), so any bracketing search finds the global
+/// optimum. section_search is the library's one 1-D current search: Problem 2,
+/// every coordinate of the multi-pin descent and the worst-scenario current
+/// of the multi-scenario design all run it. The paper's gradient descent with
+/// backtracking is kept as a reference (gradient_descent_current) that the
+/// tests compare against.
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "engine/solve_context.h"
@@ -19,32 +21,13 @@
 
 namespace tfc::core {
 
-/// Optimization method.
-enum class CurrentMethod {
-  kGoldenSection,
-  kBrent,  ///< golden + parabolic interpolation: fewer solves, same optimum
-  kGradientDescent,
-  /// Iterated K-point section search: every round solves K fixed probe
-  /// currents concurrently (tfc::par) and shrinks the bracket around the
-  /// best probe by ≈ 2/(K+1). The probe set depends only on the bracket —
-  /// never on the thread count — so the result is bit-identical for any
-  /// pool size. More solves than golden-section, but K per round run in
-  /// parallel, so wall-clock wins whenever threads ≥ 2.
-  kParallelSection,
-};
-
 struct CurrentOptimizerOptions {
-  CurrentMethod method = CurrentMethod::kParallelSection;
   /// Search interval is [0, runaway_fraction · λ_m].
   double runaway_fraction = 0.999;
   /// Absolute tolerance on the current [A].
   double current_tol = 1e-4;
+  /// Objective-evaluation budget of the search.
   std::size_t max_iterations = 200;
-  /// Probes per round for kParallelSection (clamped to ≥ 2).
-  std::size_t section_probes = 8;
-  /// Gradient-descent knobs.
-  double initial_step = 1.0;     ///< [A]
-  double backtrack_ratio = 0.5;
   /// λ_m computation for the *design* pipeline. Pinned to the Schur
   /// bisection (mirroring the pinned probe backend): the design JSON embeds
   /// lambda_m_a at full precision, and pinning keeps `design --json`
@@ -65,6 +48,39 @@ struct CurrentOptimum {
   tec::OperatingPoint operating_point;  ///< full solution at I_opt
 };
 
+/// Outcome of section_search.
+struct SectionSearchResult {
+  double x = 0.0;  ///< midpoint of the final bracket
+  std::size_t evaluations = 0;
+  bool converged = false;  ///< final bracket within the tolerance
+};
+
+/// Iterated K-point section search (K = 8) for the minimizer of
+/// \p objective on [0, hi]: every round evaluates K equispaced interior
+/// probes concurrently (tfc::par) and shrinks the bracket to the best
+/// probe's neighbours, ≈ 2/(K+1) of its width. Stops once the bracket is
+/// within \p tol or another round would exceed \p max_evaluations.
+/// \p objective must be pure and safe to call concurrently; +∞ marks an
+/// infeasible point (past λ_m). The probes depend only on the bracket, never
+/// on the pool size, so the result is bit-identical for any thread count.
+/// Exact for unimodal objectives.
+SectionSearchResult section_search(const std::function<double(double)>& objective,
+                                   double hi, double tol, std::size_t max_evaluations);
+
+/// What the current search reads on a fixed deployment at current i: `peak`
+/// is the objective it minimizes (nullopt past λ_m); `solve` is the
+/// read-back at the optimum, whose tile temperatures feed GreedyDeploy's
+/// over-limit test. Both must be pure and safe to call concurrently.
+struct PeakReadout {
+  std::function<std::optional<double>(double)> peak;
+  std::function<std::optional<tec::OperatingPoint>(double)> solve;
+};
+
+/// The installed power map of \p context: the zero-allocation probe_peak
+/// objective and the solve_probe read-back. \p context must outlive the
+/// readout.
+PeakReadout probe_readout(const engine::SolveContext& context);
+
 /// Solve Problem 2 for a fixed deployment. For a system without TECs the
 /// optimum is trivially i = 0. Throws std::runtime_error if the passive
 /// system (i = 0) cannot be solved. Every objective evaluation is a
@@ -73,9 +89,22 @@ struct CurrentOptimum {
 CurrentOptimum optimize_current(const engine::SolveContext& context,
                                 const CurrentOptimizerOptions& options = {});
 
+/// As above, minimizing \p readout's peak (the search interval still comes
+/// from the context's λ_m) — how the multi-scenario design minimizes the
+/// worst peak over its scenario set.
+CurrentOptimum optimize_current(const engine::SolveContext& context,
+                                const CurrentOptimizerOptions& options,
+                                const PeakReadout& readout);
+
 /// Convenience overload: wraps \p system in a single-use engine::SolveContext
 /// (copying it; the symbolic-analysis cache is shared, not recomputed).
 CurrentOptimum optimize_current(const tec::ElectroThermalSystem& system,
                                 const CurrentOptimizerOptions& options = {});
+
+/// The paper's gradient descent with backtracking on the same interval,
+/// using the analytic subgradient dθ_{k*}/di at the hottest tile. A
+/// reference for the tests; no production path runs it.
+CurrentOptimum gradient_descent_current(const engine::SolveContext& context,
+                                        const CurrentOptimizerOptions& options = {});
 
 }  // namespace tfc::core

@@ -21,12 +21,12 @@ TileMask over_limit_tiles(const linalg::Vector& tile_temps, std::size_t rows,
   return t;
 }
 
-/// The greedy loop on an assembled context. \p allowed is the set of sites
-/// that may carry a device (the full grid on the geometry path; the spec's
-/// TEC-capable interface sites on the spec path) and fixes the grid shape.
+}  // namespace
+
 GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
                                       const TileMask& allowed,
-                                      const GreedyDeployOptions& options) {
+                                      const GreedyDeployOptions& options,
+                                      const PeakReadout& readout) {
   const std::size_t rows = allowed.rows();
   const std::size_t cols = allowed.cols();
   auto& metrics = obs::MetricsRegistry::global();
@@ -34,7 +34,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
   result.deployment = TileMask(rows, cols);
 
   // Line 3-4: solve G·θ = p (no TECs) and collect the over-limit set T.
-  auto passive_op = context.solve_probe(0.0);
+  auto passive_op = readout.solve(0.0);
   if (!passive_op) throw std::runtime_error("greedy_deploy: passive model not solvable");
   result.peak_without_tec = passive_op->peak_tile_temperature;
   result.peak_tile_temperature = passive_op->peak_tile_temperature;
@@ -73,7 +73,7 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
 
     context.extend(result.deployment);
     // Line 8: find i_opt minimizing the peak tile temperature.
-    CurrentOptimum opt = optimize_current(context, options.current);
+    CurrentOptimum opt = optimize_current(context, options.current, readout);
     metrics.counter("greedy.candidate_evaluations").increment(opt.objective_evaluations);
 
     result.current = opt.current;
@@ -119,6 +119,8 @@ GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
   return result;
 }
 
+namespace {
+
 void validate_greedy_inputs(const tec::TecDeviceParams& device,
                             const GreedyDeployOptions& options) {
   device.validate();
@@ -150,7 +152,8 @@ GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
   // grows, so each pass extends the stamped network in place (engine
   // incremental re-stamp) instead of reassembling from the spec.
   engine::SolveContext context(spec, TileMask(), tile_powers, device, options.engine);
-  return greedy_deploy_impl(context, spec->tec_allowed_tiles(), options);
+  return greedy_deploy_impl(context, spec->tec_allowed_tiles(), options,
+                            probe_readout(context));
 }
 
 }  // namespace tfc::core

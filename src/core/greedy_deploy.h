@@ -82,4 +82,16 @@ GreedyDeployResult greedy_deploy(std::shared_ptr<const thermal::StackSpec> spec,
                                  const tec::TecDeviceParams& device,
                                  const GreedyDeployOptions& options = {});
 
+/// The Figure-5 loop on an assembled \p context (grown in place, pass by
+/// pass). \p allowed is the set of sites that may carry a device and fixes
+/// the grid shape. \p readout is what every pass reads from the context:
+/// its peak is the objective of the current search (Line 8) and its solve
+/// gives the tile temperatures of the over-limit test (Lines 3-4, 9-10).
+/// Both greedy_deploy overloads run it on probe_readout(context); the
+/// multi-scenario design runs it on the worst scenario.
+GreedyDeployResult greedy_deploy_impl(engine::SolveContext& context,
+                                      const TileMask& allowed,
+                                      const GreedyDeployOptions& options,
+                                      const PeakReadout& readout);
+
 }  // namespace tfc::core

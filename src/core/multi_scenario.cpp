@@ -5,77 +5,81 @@
 #include <stdexcept>
 
 #include "engine/solve_context.h"
-#include "linalg/sparse_cholesky.h"
-#include "par/parallel.h"
 
 namespace tfc::core {
 
 namespace {
 
-/// Fixed deployment, multiple scenarios: evaluate per-scenario tile
-/// temperatures at a current by factoring once (into the context's pooled
-/// workspace) and solving per RHS. Rebuilt per greedy pass on a context that
-/// persists across passes, so each pass is an incremental re-stamp.
-class ScenarioEvaluator {
- public:
-  ScenarioEvaluator(const engine::SolveContext& context,
-                    const std::vector<linalg::Vector>& scenarios)
-      : scenarios_(&scenarios), context_(&context) {
-    const auto& model = context.system().model();
-    ambient_rhs_ = linalg::Vector(model.node_count());
-    const double ambient = model.geometry().ambient;
-    for (std::size_t k = 0; k < model.node_count(); ++k) {
-      const double g = model.network().ambient_conductance(k);
-      if (g > 0.0) ambient_rhs_[k] = g * ambient;
-    }
+/// Solve every scenario at current \p i on the context's deployment: one
+/// factorization, then one RHS and one solve per scenario, all in a leased
+/// workspace. Calls visit(s, θ_s) in scenario order; false past λ_m.
+template <class Visit>
+bool solve_scenarios(const engine::SolveContext& context,
+                     const std::vector<linalg::Vector>& scenarios, double i,
+                     Visit&& visit) {
+  const auto& system = context.system();
+  engine::SolveContext::WorkspaceLease ws(context);
+  if (!system.factorize_into(i, *ws)) return false;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    system.rhs_into(i, scenarios[s], ws->rhs);
+    ws->factor.solve_into(ws->rhs, ws->theta, ws->solve_scratch);
+    visit(s, ws->theta);
   }
+  return true;
+}
 
-  /// Per-scenario tile temperature vectors at current i; nullopt past λ_m.
-  std::optional<std::vector<linalg::Vector>> tile_temps(double i) const {
-    if (i < 0.0) return std::nullopt;
-    const auto& system = context_->system();
-    engine::SolveContext::WorkspaceLease ws(*context_);
-    if (!system.factorize_into(i, *ws)) return std::nullopt;
-    const linalg::SparseCholeskyFactor& factor = ws->factor;
+/// Per-scenario peak tile temperatures at current \p i; nullopt past λ_m.
+std::optional<std::vector<double>> scenario_peaks(
+    const engine::SolveContext& context, const std::vector<linalg::Vector>& scenarios,
+    double i) {
+  const auto& tile_nodes = context.system().model().silicon_nodes();
+  std::vector<double> peaks(scenarios.size(), -std::numeric_limits<double>::infinity());
+  if (!solve_scenarios(context, scenarios, i,
+                       [&](std::size_t s, const linalg::Vector& theta) {
+                         for (std::size_t node : tile_nodes) {
+                           peaks[s] = std::max(peaks[s], theta[node]);
+                         }
+                       })) {
+    return std::nullopt;
+  }
+  return peaks;
+}
 
-    const double joule = 0.5 * system.device().resistance * i * i;
+/// The scenario set as the greedy loop's readout: the peak is the worst
+/// scenario's, the read-back is the per-tile maximum over scenarios. A tile
+/// is over the limit in some scenario iff its maximum is, so the loop's
+/// over-limit set is the union over scenarios.
+PeakReadout worst_scenario_readout(const engine::SolveContext& context,
+                                   const std::vector<linalg::Vector>& scenarios) {
+  PeakReadout readout;
+  readout.peak = [&context, &scenarios](double i) -> std::optional<double> {
+    auto peaks = scenario_peaks(context, scenarios, i);
+    if (!peaks) return std::nullopt;
+    return *std::max_element(peaks->begin(), peaks->end());
+  };
+  readout.solve = [&context, &scenarios](double i) -> std::optional<tec::OperatingPoint> {
+    const auto& system = context.system();
     const auto& tile_nodes = system.model().silicon_nodes();
-    // One factorization, independent per-scenario solves: result slot s is
-    // always scenario s, so the output is identical for any pool size.
-    return par::parallel_map(scenarios_->size(), [&](std::size_t s) {
-      const auto& powers = (*scenarios_)[s];
-      linalg::Vector rhs = ambient_rhs_;
-      for (std::size_t t = 0; t < tile_nodes.size(); ++t) rhs[tile_nodes[t]] += powers[t];
-      for (std::size_t hot : system.model().hot_nodes()) rhs[hot] += joule;
-      for (std::size_t cold : system.model().cold_nodes()) rhs[cold] += joule;
-      return system.model().tile_temperatures(factor.solve(rhs));
-    });
-  }
-
-  /// Worst peak over scenarios at current i; +inf past λ_m.
-  double worst_peak(double i) const {
-    auto temps = tile_temps(i);
-    if (!temps) return std::numeric_limits<double>::infinity();
-    double peak = 0.0;
-    for (const auto& t : *temps) peak = std::max(peak, linalg::max_entry(t));
-    return peak;
-  }
-
- private:
-  const std::vector<linalg::Vector>* scenarios_;
-  const engine::SolveContext* context_;
-  linalg::Vector ambient_rhs_;
-};
-
-TileMask union_over_limit(const std::vector<linalg::Vector>& tile_temps,
-                          std::size_t rows, std::size_t cols, double theta_max) {
-  TileMask mask(rows, cols);
-  for (const auto& temps : tile_temps) {
-    for (std::size_t t = 0; t < rows * cols; ++t) {
-      if (temps[t] > theta_max) mask.set(t / cols, t % cols);
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
+    tec::OperatingPoint op;
+    op.current = i;
+    op.tile_temperatures = linalg::Vector(tile_nodes.size(), kNone);
+    op.tec_input_power = kNone;
+    if (!solve_scenarios(context, scenarios, i,
+                         [&](std::size_t, const linalg::Vector& theta) {
+                           for (std::size_t t = 0; t < tile_nodes.size(); ++t) {
+                             op.tile_temperatures[t] =
+                                 std::max(op.tile_temperatures[t], theta[tile_nodes[t]]);
+                           }
+                           op.tec_input_power = std::max(op.tec_input_power,
+                                                         system.tec_input_power(i, theta));
+                         })) {
+      return std::nullopt;
     }
-  }
-  return mask;
+    op.peak_tile_temperature = linalg::max_entry(op.tile_temperatures);
+    return op;
+  };
+  return readout;
 }
 
 }  // namespace
@@ -94,83 +98,28 @@ MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry
   }
   device.validate();
 
-  MultiScenarioResult result;
-  result.deployment = TileMask(geometry.tile_rows, geometry.tile_cols);
-
-  // One context spans the whole loop: deployments only grow, so each pass
-  // re-stamps incrementally. Scenario powers ride in the per-solve RHS, so
-  // the context's installed power map (scenario 0) is never consulted.
+  // One context spans the whole loop, as in greedy_deploy. Scenario powers
+  // ride in the per-solve RHS, so the context's installed power map
+  // (scenario 0) is never consulted.
   engine::SolveContext context(geometry, TileMask(), scenarios[0], device,
                                options.engine);
+  const GreedyDeployResult greedy =
+      greedy_deploy_impl(context, context.spec()->tec_allowed_tiles(), options,
+                         worst_scenario_readout(context, scenarios));
 
-  // Passive worst case over all scenarios.
-  ScenarioEvaluator passive(context, scenarios);
-  auto temps0 = passive.tile_temps(0.0);
-  if (!temps0) throw std::runtime_error("greedy_deploy_multi: passive solve failed");
-  result.peak_without_tec = passive.worst_peak(0.0);
-  result.peak_tile_temperature = result.peak_without_tec;
-
-  TileMask over = union_over_limit(*temps0, geometry.tile_rows, geometry.tile_cols,
-                                   options.theta_max);
-  if (over.empty()) {
-    result.success = true;
-    result.scenario_peaks.reserve(scenarios.size());
-    for (const auto& t : *temps0) result.scenario_peaks.push_back(linalg::max_entry(t));
-    return result;
-  }
-
-  constexpr double kInvPhi = 0.6180339887498949;
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    result.deployment |= over;
-    ++result.iterations;
-
-    context.extend(result.deployment);
-    ScenarioEvaluator eval(context, scenarios);
-    result.lambda_m = context.runaway_limit(options.current.runaway);
-    const double hi = result.lambda_m
-                          ? options.current.runaway_fraction * *result.lambda_m
-                          : 40.0;
-
-    // Golden-section on the worst-scenario peak (max of convex).
-    double a = 0.0, b = hi;
-    double x1 = b - kInvPhi * (b - a), x2 = a + kInvPhi * (b - a);
-    double f1 = eval.worst_peak(x1), f2 = eval.worst_peak(x2);
-    while (b - a > options.current.current_tol) {
-      if (f1 <= f2) {
-        b = x2;
-        x2 = x1;
-        f2 = f1;
-        x1 = b - kInvPhi * (b - a);
-        f1 = eval.worst_peak(x1);
-      } else {
-        a = x1;
-        x1 = x2;
-        f1 = f2;
-        x2 = a + kInvPhi * (b - a);
-        f2 = eval.worst_peak(x2);
-      }
-    }
-    result.current = 0.5 * (a + b);
-
-    auto temps = eval.tile_temps(result.current);
-    if (!temps) throw std::runtime_error("greedy_deploy_multi: optimum not solvable");
-    result.scenario_peaks.clear();
-    for (const auto& t : *temps) result.scenario_peaks.push_back(linalg::max_entry(t));
-    result.peak_tile_temperature =
-        *std::max_element(result.scenario_peaks.begin(), result.scenario_peaks.end());
-
-    over = union_over_limit(*temps, geometry.tile_rows, geometry.tile_cols,
-                            options.theta_max);
-    if (over.empty()) {
-      result.success = true;
-      return result;
-    }
-    if (over.subset_of(result.deployment)) {
-      result.success = false;
-      return result;
-    }
-  }
-  result.success = false;
+  MultiScenarioResult result;
+  result.success = greedy.success;
+  result.deployment = greedy.deployment;
+  result.current = greedy.current;
+  result.peak_tile_temperature = greedy.peak_tile_temperature;
+  result.peak_without_tec = greedy.peak_without_tec;
+  result.lambda_m = greedy.lambda_m;
+  result.iterations = greedy.iterations.size();
+  // The context holds the final deployment: read each scenario's peak at
+  // the final current.
+  auto peaks = scenario_peaks(context, scenarios, result.current);
+  if (!peaks) throw std::runtime_error("greedy_deploy_multi: optimum not solvable");
+  result.scenario_peaks = std::move(*peaks);
   return result;
 }
 

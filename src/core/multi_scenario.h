@@ -33,7 +33,10 @@ struct MultiScenarioResult {
 };
 
 /// GreedyDeploy over a scenario set. \p scenarios is a non-empty list of
-/// tile power maps (each row-major over the geometry's grid).
+/// tile power maps (each row-major over the geometry's grid). Runs the one
+/// Figure-5 loop (greedy_deploy_impl) with the worst scenario as its
+/// readout, so every GreedyDeployOptions field applies as in greedy_deploy,
+/// and a single scenario reproduces greedy_deploy bit for bit.
 MultiScenarioResult greedy_deploy_multi(const thermal::PackageGeometry& geometry,
                                         const std::vector<linalg::Vector>& scenarios,
                                         const tec::TecDeviceParams& device,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
+#include "core/current_optimizer.h"
 #include "linalg/sparse_cholesky.h"
 
 namespace tfc::core {
@@ -73,72 +75,17 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
 
 MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
                                   double shared_start, const MultiPinOptions& options) {
-  const std::size_t m = system.model().hot_nodes().size();
-  if (m == 0) throw std::invalid_argument("optimize_multi_pin: system has no TECs");
-  if (shared_start < 0.0) throw std::invalid_argument("optimize_multi_pin: bad start");
-
-  // One context for the whole descent: shared symbolic analysis + pooled
-  // workspaces across every coordinate probe.
-  const engine::SolveContext context(system);
+  // One device per group: the group expansion is the identity, so this is
+  // the per-device descent.
+  std::vector<std::size_t> groups(system.model().hot_nodes().size());
+  std::iota(groups.begin(), groups.end(), std::size_t{0});
+  GroupedPinResult g = optimize_grouped_pins(system, groups, shared_start, options);
   MultiPinResult res;
-  res.currents.assign(m, shared_start);
-  auto op = solve_multi_pin(context, res.currents);
-  if (!op) {
-    // Shared start already past the vector runaway surface; restart from 0.
-    res.currents.assign(m, 0.0);
-    op = solve_multi_pin(context, res.currents);
-    if (!op) throw std::runtime_error("optimize_multi_pin: passive solve failed");
-  }
-  double best = op->peak_tile_temperature;
-
-  constexpr double kInvPhi = 0.6180339887498949;
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    const double before = best;
-    for (std::size_t j = 0; j < m; ++j) {
-      // Golden-section on coordinate j over [0, cap], infeasible points = +inf.
-      const auto eval = [&](double ij) {
-        const double saved = res.currents[j];
-        res.currents[j] = ij;
-        auto o = solve_multi_pin(context, res.currents);
-        res.currents[j] = saved;
-        return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
-      };
-      double a = 0.0, b = options.current_cap;
-      double x1 = b - kInvPhi * (b - a), x2 = a + kInvPhi * (b - a);
-      double f1 = eval(x1), f2 = eval(x2);
-      while (b - a > options.current_tol) {
-        if (f1 <= f2) {
-          b = x2;
-          x2 = x1;
-          f2 = f1;
-          x1 = b - kInvPhi * (b - a);
-          f1 = eval(x1);
-        } else {
-          a = x1;
-          x1 = x2;
-          f1 = f2;
-          x2 = a + kInvPhi * (b - a);
-          f2 = eval(x2);
-        }
-      }
-      const double candidate = 0.5 * (a + b);
-      const double f_candidate = eval(candidate);
-      if (f_candidate < best) {
-        best = f_candidate;
-        res.currents[j] = candidate;
-      }
-    }
-    res.sweeps = sweep + 1;
-    if (before - best < options.sweep_tol) {
-      res.converged = true;
-      break;
-    }
-  }
-
-  auto final_op = solve_multi_pin(context, res.currents);
-  if (!final_op) throw std::runtime_error("optimize_multi_pin: final solve failed");
-  res.peak_tile_temperature = final_op->peak_tile_temperature;
-  res.tec_input_power = final_op->tec_input_power;
+  res.currents = std::move(g.group_currents);
+  res.peak_tile_temperature = g.peak_tile_temperature;
+  res.tec_input_power = g.tec_input_power;
+  res.sweeps = g.sweeps;
+  res.converged = g.converged;
   return res;
 }
 
@@ -161,6 +108,8 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
   }
   if (shared_start < 0.0) throw std::invalid_argument("optimize_grouped_pins: bad start");
 
+  // One context for the whole descent: shared symbolic analysis + pooled
+  // workspaces across every coordinate probe.
   const engine::SolveContext context(system);
   GroupedPinResult res;
   res.group_currents.assign(n_groups, shared_start);
@@ -170,46 +119,36 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
     for (std::size_t j = 0; j < m; ++j) currents[j] = gc[groups[j]];
     return currents;
   };
+  // Peak with group g's current replaced by ig; +inf past the vector runaway
+  // surface. Pure (it works on its own copy of the currents), so the section
+  // search may run its probes concurrently.
+  const auto peak_with = [&](std::size_t g, double ig) {
+    std::vector<double> gc = res.group_currents;
+    gc[g] = ig;
+    auto o = solve_multi_pin(context, expand(gc));
+    return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
+  };
 
   auto op = solve_multi_pin(context, expand(res.group_currents));
   if (!op) {
+    // Shared start already past the vector runaway surface; restart from 0.
     res.group_currents.assign(n_groups, 0.0);
     op = solve_multi_pin(context, expand(res.group_currents));
     if (!op) throw std::runtime_error("optimize_grouped_pins: passive solve failed");
   }
   double best = op->peak_tile_temperature;
 
-  constexpr double kInvPhi = 0.6180339887498949;
   for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
     const double before = best;
     for (std::size_t g = 0; g < n_groups; ++g) {
-      const auto eval = [&](double ig) {
-        const double saved = res.group_currents[g];
-        res.group_currents[g] = ig;
-        auto o = solve_multi_pin(context, expand(res.group_currents));
-        res.group_currents[g] = saved;
-        return o ? o->peak_tile_temperature : std::numeric_limits<double>::infinity();
-      };
-      double a = 0.0, b = options.current_cap;
-      double x1 = b - kInvPhi * (b - a), x2 = a + kInvPhi * (b - a);
-      double f1 = eval(x1), f2 = eval(x2);
-      while (b - a > options.current_tol) {
-        if (f1 <= f2) {
-          b = x2;
-          x2 = x1;
-          f2 = f1;
-          x1 = b - kInvPhi * (b - a);
-          f1 = eval(x1);
-        } else {
-          a = x1;
-          x1 = x2;
-          f1 = f2;
-          x2 = a + kInvPhi * (b - a);
-          f2 = eval(x2);
-        }
-      }
-      const double candidate = 0.5 * (a + b);
-      const double f_candidate = eval(candidate);
+      // Section search on coordinate g over [0, cap]; the tolerance alone
+      // bounds the rounds.
+      const double candidate =
+          section_search([&](double ig) { return peak_with(g, ig); },
+                         options.current_cap, options.current_tol,
+                         std::numeric_limits<std::size_t>::max())
+              .x;
+      const double f_candidate = peak_with(g, candidate);
       if (f_candidate < best) {
         best = f_candidate;
         res.group_currents[g] = candidate;

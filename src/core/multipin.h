@@ -5,9 +5,11 @@
 /// one extra package pin is available (Section III.B). With multiple pins
 /// each device j gets its own current i_j; steady state becomes
 /// (G − Σ_j i_j·D_j)·θ = p(i⃗) with per-device Joule terms. This module
-/// optimizes i⃗ by cyclic coordinate descent, each coordinate solved by
-/// golden-section search with a positive-definiteness guard — quantifying
-/// how much the single-pin constraint costs (ablation A2 in DESIGN.md).
+/// optimizes the currents by cyclic coordinate descent over pin groups
+/// (per-device currents are one device per group), each coordinate solved
+/// by the section search of current_optimizer.h with a
+/// positive-definiteness guard — quantifying how much the single-pin
+/// constraint costs (ablation A2 in DESIGN.md).
 #pragma once
 
 #include <vector>
@@ -48,7 +50,8 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
 
 /// Coordinate-descent optimization of the per-device currents, starting from
 /// the optimal shared current (so it can only improve on the single-pin
-/// optimum). Throws std::invalid_argument if the system has no TECs.
+/// optimum): optimize_grouped_pins with one device per group. Throws
+/// std::invalid_argument if the system has no TECs.
 MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
                                   double shared_start,
                                   const MultiPinOptions& options = {});
@@ -67,8 +70,9 @@ struct GroupedPinResult {
 /// multi-pin: devices share currents within groups (one extra package pin
 /// per group). \p groups assigns each device (ordered like
 /// model().tec_tiles()) to a group id in [0, n_groups). Coordinate descent
-/// over group currents. Throws std::invalid_argument on a malformed
-/// assignment or a system without TECs.
+/// over group currents; each coordinate's probes run concurrently on the
+/// tfc::par pool, bit-identically for any pool size. Throws
+/// std::invalid_argument on a malformed assignment or a system without TECs.
 GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
                                        const std::vector<std::size_t>& groups,
                                        double shared_start,

@@ -45,37 +45,16 @@ OnDemandResult simulate_on_demand(
   thermal::TransientSolver on_stepper(system.system_matrix(i_on), cap, options.dt,
                                       off_stepper.symbolic());
 
-  // Static RHS pieces.
-  const auto& tile_nodes = model.silicon_nodes();
-  linalg::Vector ambient_rhs(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double g = net.ambient_conductance(k);
-    if (g > 0.0) ambient_rhs[k] = g * ambient;
-  }
-  const double joule = 0.5 * system.device().resistance * i_on * i_on;
-
-  const auto rhs_for = [&](const linalg::Vector& tile_powers, bool on) {
-    if (tile_powers.size() != tile_nodes.size()) {
-      throw std::invalid_argument("simulate_on_demand: tile power size mismatch");
-    }
-    linalg::Vector rhs = ambient_rhs;
-    for (std::size_t t = 0; t < tile_nodes.size(); ++t) {
-      rhs[tile_nodes[t]] += tile_powers[t];
-    }
-    if (on) {
-      for (std::size_t hot : model.hot_nodes()) rhs[hot] += joule;
-      for (std::size_t cold : model.cold_nodes()) rhs[cold] += joule;
-    }
-    return rhs;
-  };
-
-  // Initial condition.
+  // Initial condition. Step RHS: the step's tile powers, Joule heat only
+  // while the TECs are on.
   linalg::Vector theta(n, ambient);
+  linalg::Vector rhs(n);
   if (options.start_from_steady_state) {
     auto g0 = system.system_matrix(0.0);
     const linalg::Vector& p0 =
         options.equilibrate_at ? *options.equilibrate_at : tile_powers_at(0);
-    theta = thermal::solve_steady_state(g0, rhs_for(p0, false));
+    system.rhs_into(0.0, p0, rhs);
+    theta = thermal::solve_steady_state(g0, rhs);
   }
 
   OnDemandResult res;
@@ -92,7 +71,7 @@ OnDemandResult simulate_on_demand(
     if (on && peak < options.theta_off) on = false;
     if (on != was_on && s > 0) ++res.switch_count;
 
-    const auto rhs = rhs_for(tile_powers_at(s), on);
+    system.rhs_into(on ? i_on : 0.0, tile_powers_at(s), rhs);
     (on ? on_stepper : off_stepper).step_into(theta, rhs, next);
     std::swap(theta, next);
 

@@ -48,11 +48,6 @@ class SparseCholeskyFactor {
   static std::optional<SparseCholeskyFactor> factor(
       const SparseMatrix& a, FillOrdering ordering = FillOrdering::kRcm);
 
-  /// Back-compat convenience: RCM on/off.
-  static std::optional<SparseCholeskyFactor> factor(const SparseMatrix& a, bool use_rcm) {
-    return factor(a, use_rcm ? FillOrdering::kRcm : FillOrdering::kNatural);
-  }
-
   std::size_t dim() const { return n_; }
 
   /// Number of stored nonzeros of L (including the diagonal).

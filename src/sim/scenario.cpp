@@ -107,12 +107,6 @@ ScenarioEngine::ScenarioEngine(const floorplan::Floorplan& plan,
       }
     }
   }
-  const auto& net = model.network();
-  ambient_rhs_ = linalg::Vector(model.node_count());
-  for (std::size_t k = 0; k < model.node_count(); ++k) {
-    const double g = net.ambient_conductance(k);
-    if (g > 0.0) ambient_rhs_[k] = g * model.geometry().ambient;
-  }
   tile_power_scratch_ = linalg::Vector(plan.tile_count());
   rhs_scratch_ = linalg::Vector(model.node_count());
 }
@@ -144,7 +138,6 @@ thermal::TransientSolver& ScenarioEngine::solver_for(double current) {
 void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scales,
                                double current) {
   TFC_SPAN("sim.rasterize");
-  const auto& model = system_.model();
   const std::size_t tick = step % trace_.length();
 
   tile_power_scratch_.fill(0.0);
@@ -156,16 +149,7 @@ void ScenarioEngine::build_rhs(std::size_t step, const std::vector<double>& scal
     for (std::size_t t : unit_tiles_[u]) tile_power_scratch_[t] += per_tile;
   }
 
-  rhs_scratch_ = ambient_rhs_;
-  const auto& tile_nodes = model.silicon_nodes();
-  for (std::size_t t = 0; t < tile_nodes.size(); ++t) {
-    rhs_scratch_[tile_nodes[t]] += tile_power_scratch_[t];
-  }
-  if (current > 0.0) {
-    const double joule = 0.5 * system_.device().resistance * current * current;
-    for (std::size_t hot : model.hot_nodes()) rhs_scratch_[hot] += joule;
-    for (std::size_t cold : model.cold_nodes()) rhs_scratch_[cold] += joule;
-  }
+  system_.rhs_into(current, tile_power_scratch_, rhs_scratch_);
 }
 
 ScenarioSummary ScenarioEngine::run(const FrameSink& sink) {

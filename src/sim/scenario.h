@@ -191,7 +191,6 @@ class ScenarioEngine {
 
   // Static precomputations (geometry-only; shared by every run()).
   std::vector<std::vector<std::size_t>> unit_tiles_;  ///< [unit] -> tile ids
-  linalg::Vector ambient_rhs_;
 
   std::map<double, thermal::TransientSolver> solvers_;
 

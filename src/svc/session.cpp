@@ -121,16 +121,7 @@ std::shared_ptr<const Session> build_session(ChipInput chip,
 
   auto session = std::make_shared<Session>();
   session->key = chip.key;
-  while (true) {
-    session->design = core::design_cooling_system(req);
-    if (session->design.success ||
-        req.theta_limit_celsius >= chip.key.theta_limit_celsius + 25.0) {
-      break;
-    }
-    req.theta_limit_celsius += 1.0;
-    TFC_LOG_INFO("design_fallback_relax", {"chip", chip.key.chip},
-                 {"theta_limit_c", req.theta_limit_celsius});
-  }
+  session->design = core::design_with_fallback(req);
 
   session->context =
       chip.spec != nullptr

@@ -16,6 +16,21 @@ struct ElectroThermalSystem::SymbolicCache {
   std::unique_ptr<const linalg::SparseCholeskySymbolic> symbolic;
 };
 
+namespace {
+
+/// g_amb·θ_amb on every node with an ambient leg, 0 elsewhere.
+linalg::Vector ambient_terms(const thermal::PackageModel& model) {
+  const auto& net = model.network();
+  linalg::Vector out(net.node_count());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const double g = net.ambient_conductance(k);
+    if (g > 0.0) out[k] = g * model.geometry().ambient;
+  }
+  return out;
+}
+
+}  // namespace
+
 ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
                                            TecDeviceParams device, bool allow_no_tec)
     : model_(std::move(model)), device_(device),
@@ -28,6 +43,7 @@ ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
   d_diag_ = linalg::Vector(model_.node_count());
   for (std::size_t hot : model_.hot_nodes()) d_diag_[hot] = +device_.seebeck;
   for (std::size_t cold : model_.cold_nodes()) d_diag_[cold] = -device_.seebeck;
+  ambient_rhs_ = ambient_terms(model_);
 }
 
 ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
@@ -49,6 +65,7 @@ ElectroThermalSystem::ElectroThermalSystem(thermal::PackageModel model,
   d_diag_ = linalg::Vector(model_.node_count());
   for (std::size_t hot : model_.hot_nodes()) d_diag_[hot] = +device_.seebeck;
   for (std::size_t cold : model_.cold_nodes()) d_diag_[cold] = -device_.seebeck;
+  ambient_rhs_ = ambient_terms(model_);
 }
 
 ElectroThermalSystem ElectroThermalSystem::assemble(
@@ -154,6 +171,19 @@ void ElectroThermalSystem::rhs_into(double i, linalg::Vector& out) const {
     const double g = net.ambient_conductance(k);
     if (g > 0.0) out[k] += g * ambient;
   }
+}
+
+void ElectroThermalSystem::rhs_into(double i, const linalg::Vector& tile_powers,
+                                    linalg::Vector& out) const {
+  const auto& tile_nodes = model_.silicon_nodes();
+  if (tile_powers.size() != tile_nodes.size()) {
+    throw std::invalid_argument("rhs_into: tile power size mismatch");
+  }
+  out = ambient_rhs_;
+  for (std::size_t t = 0; t < tile_nodes.size(); ++t) out[tile_nodes[t]] += tile_powers[t];
+  const double joule = 0.5 * device_.resistance * i * i;
+  for (std::size_t hot : model_.hot_nodes()) out[hot] += joule;
+  for (std::size_t cold : model_.cold_nodes()) out[cold] += joule;
 }
 
 std::optional<OperatingPoint> ElectroThermalSystem::solve(double i,

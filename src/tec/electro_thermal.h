@@ -159,6 +159,14 @@ class ElectroThermalSystem {
   /// arithmetic to rhs().
   void rhs_into(double i, linalg::Vector& out) const;
 
+  /// Right-hand side for an arbitrary per-tile power map (row-major over
+  /// the model's tile grid; the installed powers are not read), into
+  /// caller-owned \p out: the ambient terms g_amb·θ_amb, plus \p tile_powers
+  /// on the silicon nodes, plus r·i²/2 on every hot/cold node, in that
+  /// order. Copies into \p out's storage, so it allocates nothing once warm.
+  /// Throws std::invalid_argument on a tile-count mismatch.
+  void rhs_into(double i, const linalg::Vector& tile_powers, linalg::Vector& out) const;
+
   /// Solve (G − i·D)θ = p(i) by sparse Cholesky refactorization, which
   /// doubles as the positive-definiteness probe. Returns nullopt when the
   /// matrix is no longer positive definite (i ≥ λ_m: thermal runaway) or
@@ -183,6 +191,9 @@ class ElectroThermalSystem {
   TecDeviceParams device_;
   linalg::SparseMatrix g_;
   linalg::Vector d_diag_;
+  /// g_amb·θ_amb per node (0 off the ambient legs): the current- and
+  /// power-independent part of every tile-power-map RHS.
+  linalg::Vector ambient_rhs_;
   std::shared_ptr<SymbolicCache> symbolic_cache_;
 };
 

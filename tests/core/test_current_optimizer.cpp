@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace tfc::core {
 namespace {
 
@@ -40,28 +42,36 @@ TEST(CurrentOptimizer, ImprovesOverZeroCurrent) {
   EXPECT_LT(opt.current, *opt.lambda_m);
 }
 
-TEST(CurrentOptimizer, BrentMatchesGoldenWithFewerSolves) {
+TEST(CurrentOptimizer, SectionSearchAndGradientDescentAgree) {
   auto sys = deployed_system();
-  CurrentOptimizerOptions golden, brent;
-  golden.method = CurrentMethod::kGoldenSection;
-  brent.method = CurrentMethod::kBrent;
-  golden.current_tol = brent.current_tol = 1e-5;
-  auto a = optimize_current(sys, golden);
-  auto b = optimize_current(sys, brent);
-  EXPECT_TRUE(b.converged);
-  EXPECT_NEAR(a.current, b.current, 1e-3);
-  EXPECT_NEAR(a.peak_tile_temperature, b.peak_tile_temperature, 1e-4);
-  EXPECT_LT(b.objective_evaluations, a.objective_evaluations);
-}
-
-TEST(CurrentOptimizer, GoldenSectionAndGradientDescentAgree) {
-  auto sys = deployed_system();
-  CurrentOptimizerOptions golden, grad;
-  grad.method = CurrentMethod::kGradientDescent;
-  auto a = optimize_current(sys, golden);
-  auto b = optimize_current(sys, grad);
+  const engine::SolveContext context(sys);
+  auto a = optimize_current(context);
+  auto b = gradient_descent_current(context);
   EXPECT_NEAR(a.current, b.current, 0.05 * a.current + 0.02);
   EXPECT_NEAR(a.peak_tile_temperature, b.peak_tile_temperature, 0.02);
+  ASSERT_TRUE(a.lambda_m && b.lambda_m);
+  EXPECT_EQ(*a.lambda_m, *b.lambda_m);
+}
+
+TEST(CurrentOptimizer, SectionSearchFindsConvexMinimizer) {
+  // A parabola with its minimum inside the interval, and one past an
+  // infeasible (+inf) region, as the runaway-guarded objectives have.
+  const auto parabola = [](double x) { return (x - 2.7) * (x - 2.7); };
+  const auto r = section_search(parabola, 10.0, 1e-6, 1000);
+  EXPECT_TRUE(r.converged);
+  EXPECT_NEAR(r.x, 2.7, 1e-6);
+  EXPECT_EQ(r.evaluations % 8, 0u);
+  const auto guarded = [](double x) {
+    return x > 4.0 ? std::numeric_limits<double>::infinity() : (x - 1.0) * (x - 1.0);
+  };
+  EXPECT_NEAR(section_search(guarded, 10.0, 1e-6, 1000).x, 1.0, 1e-6);
+  // Minima on either end of the interval.
+  EXPECT_NEAR(section_search([](double x) { return x; }, 10.0, 1e-6, 1000).x, 0.0, 1e-6);
+  EXPECT_NEAR(section_search([](double x) { return -x; }, 10.0, 1e-6, 1000).x, 10.0, 1e-6);
+  // The evaluation budget stops the search before the tolerance is met.
+  const auto capped = section_search(parabola, 10.0, 1e-6, 16);
+  EXPECT_FALSE(capped.converged);
+  EXPECT_EQ(capped.evaluations, 16u);
 }
 
 TEST(CurrentOptimizer, OptimumIsLocalMinimum) {

@@ -39,6 +39,20 @@ TEST(GroupedPins, SingleGroupMatchesSharedOptimum) {
   EXPECT_NEAR(grouped.group_currents[0], shared.current, 0.2);
 }
 
+TEST(GroupedPins, OneDevicePerGroupIsMultiPin) {
+  auto sys = deployed_system();
+  const double start = optimize_current(sys).current;
+  MultiPinOptions o;
+  o.max_sweeps = 3;
+  auto mp = optimize_multi_pin(sys, start, o);
+  auto grouped = optimize_grouped_pins(sys, {0, 1, 2, 3}, start, o);
+  EXPECT_EQ(mp.currents, grouped.group_currents);
+  EXPECT_EQ(mp.peak_tile_temperature, grouped.peak_tile_temperature);
+  EXPECT_EQ(mp.tec_input_power, grouped.tec_input_power);
+  EXPECT_EQ(mp.sweeps, grouped.sweeps);
+  EXPECT_EQ(mp.converged, grouped.converged);
+}
+
 TEST(GroupedPins, MoreGroupsNeverWorse) {
   auto sys = deployed_system();
   auto shared = optimize_current(sys);

@@ -47,9 +47,14 @@ TEST(MultiScenario, SingleScenarioMatchesPlainGreedy) {
   auto multi = greedy_deploy_multi(small_geom(), one, dev(), opts(63.0));
   auto plain = greedy_deploy(small_geom(), scenarios[0], dev(), opts(63.0));
   ASSERT_TRUE(multi.success && plain.success);
+  // One scenario runs the same loop, search and arithmetic: bit for bit.
   EXPECT_EQ(multi.deployment, plain.deployment);
-  EXPECT_NEAR(multi.current, plain.current, 0.05);
-  EXPECT_NEAR(multi.peak_tile_temperature, plain.peak_tile_temperature, 0.01);
+  EXPECT_EQ(multi.current, plain.current);
+  EXPECT_EQ(multi.peak_tile_temperature, plain.peak_tile_temperature);
+  EXPECT_EQ(multi.peak_without_tec, plain.peak_without_tec);
+  EXPECT_EQ(multi.iterations, plain.iterations.size());
+  ASSERT_EQ(multi.scenario_peaks.size(), 1u);
+  EXPECT_EQ(multi.scenario_peaks[0], plain.peak_tile_temperature);
 }
 
 TEST(MultiScenario, NeverLargerThanFoldedWorstCase) {

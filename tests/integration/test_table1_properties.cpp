@@ -29,13 +29,7 @@ core::DesignResult design_with_fallback(const Chip& chip) {
   core::DesignRequest req;
   req.chip_name = chip.name;
   req.tile_powers = chip.powers;
-  req.theta_limit_celsius = 85.0;
-  auto res = core::design_cooling_system(req);
-  while (!res.success && req.theta_limit_celsius < 110.0) {
-    req.theta_limit_celsius += 1.0;
-    res = core::design_cooling_system(req);
-  }
-  return res;
+  return core::design_with_fallback(req);
 }
 
 class Table1Sweep : public ::testing::TestWithParam<std::size_t> {};

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "cli/cli.h"
+#include "core/multi_scenario.h"
+#include "core/multipin.h"
 #include "par/thread_pool.h"
 
 namespace tfc {
@@ -69,6 +71,70 @@ TEST(ParDeterminism, DesignJsonIsByteIdenticalAcrossEngineBackends) {
   par::ThreadPool::set_global_threads(0);
 
   ASSERT_FALSE(reference.empty());
+}
+
+// The pin descent and the multi-scenario design run the section search's
+// probes on the pool; their results must not depend on its size either.
+
+thermal::PackageGeometry small_geom() {
+  thermal::PackageGeometry g;
+  g.tile_rows = g.tile_cols = 6;
+  g.die_width = g.die_height = 3e-3;
+  return g;
+}
+
+std::vector<linalg::Vector> two_scenarios() {
+  linalg::Vector a(36, 0.10), b(36, 0.10);
+  a[2 * 6 + 2] = a[2 * 6 + 3] = 0.60;
+  b[4 * 6 + 4] = 0.65;
+  return {a, b};
+}
+
+core::GroupedPinResult grouped_pins_at(std::size_t threads) {
+  par::ThreadPool::set_global_threads(threads);
+  TileMask dep(6, 6);
+  dep.set(2, 2);
+  dep.set(2, 3);
+  dep.set(4, 4);
+  dep.set(3, 2);
+  const auto sys = tec::ElectroThermalSystem::assemble(
+      small_geom(), dep, two_scenarios()[0], tec::TecDeviceParams::chowdhury_superlattice());
+  core::MultiPinOptions o;
+  o.max_sweeps = 2;
+  return core::optimize_grouped_pins(sys, {0, 1, 1, 0}, 1.0, o);
+}
+
+core::MultiScenarioResult multi_scenario_at(std::size_t threads) {
+  par::ThreadPool::set_global_threads(threads);
+  core::GreedyDeployOptions o;
+  o.theta_max = thermal::to_kelvin(63.0);
+  return core::greedy_deploy_multi(small_geom(), two_scenarios(),
+                                   tec::TecDeviceParams::chowdhury_superlattice(), o);
+}
+
+TEST(ParDeterminism, GroupedPinsAreBitIdenticalAcrossThreadCounts) {
+  const auto one = grouped_pins_at(1);
+  const auto eight = grouped_pins_at(8);
+  par::ThreadPool::set_global_threads(0);
+
+  ASSERT_EQ(one.group_currents.size(), 2u);
+  EXPECT_EQ(one.group_currents, eight.group_currents);
+  EXPECT_EQ(one.peak_tile_temperature, eight.peak_tile_temperature);
+  EXPECT_EQ(one.tec_input_power, eight.tec_input_power);
+  EXPECT_EQ(one.sweeps, eight.sweeps);
+}
+
+TEST(ParDeterminism, MultiScenarioIsBitIdenticalAcrossThreadCounts) {
+  const auto one = multi_scenario_at(1);
+  const auto eight = multi_scenario_at(8);
+  par::ThreadPool::set_global_threads(0);
+
+  ASSERT_TRUE(one.success);
+  EXPECT_EQ(one.deployment, eight.deployment);
+  EXPECT_EQ(one.current, eight.current);
+  EXPECT_EQ(one.peak_tile_temperature, eight.peak_tile_temperature);
+  EXPECT_EQ(one.scenario_peaks, eight.scenario_peaks);
+  EXPECT_EQ(one.iterations, eight.iterations);
 }
 
 }  // namespace

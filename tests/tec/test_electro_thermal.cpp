@@ -91,6 +91,23 @@ TEST(ElectroThermal, PowerVectorCarriesJouleHalves) {
   EXPECT_NEAR(linalg::sum(p), linalg::sum(p0) + sys.device().resistance * i * i, 1e-12);
 }
 
+TEST(ElectroThermal, TilePowerRhsMatchesInstalledRhs) {
+  // On the installed map the tile-power RHS is the installed RHS bit for
+  // bit (ambient, source and Joule terms land on disjoint nodes), so a
+  // scenario solve equals the installed-map probe exactly.
+  auto sys = make_system();
+  linalg::Vector out;
+  sys.rhs_into(3.0, powers(), out);
+  const double* warm = out.data();
+  EXPECT_EQ(out, sys.rhs(3.0));
+  // Warm storage is reused, not reallocated.
+  sys.rhs_into(0.0, powers(0.9), out);
+  EXPECT_EQ(out.data(), warm);
+  const auto hot_tile = sys.model().silicon_nodes()[5];
+  EXPECT_NEAR(out[hot_tile] - sys.rhs(0.0)[hot_tile], 0.3, 1e-12);
+  EXPECT_THROW(sys.rhs_into(0.0, linalg::Vector(3), out), std::invalid_argument);
+}
+
 TEST(ElectroThermal, NegativeCurrentRejected) {
   auto sys = make_system();
   EXPECT_FALSE(sys.solve(-1.0).has_value());
