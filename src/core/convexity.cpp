@@ -18,7 +18,10 @@ ConvexityCertificate certify_convexity(const tec::ElectroThermalSystem& system,
     throw std::invalid_argument("certify_convexity: bad options");
   }
 
-  auto lm = tec::runaway_limit(system);
+  // λ_m from the exact block eigensolve: the certificate's interval must not
+  // hinge on an iterative eigensolver's convergence (sparse Lanczos fails on
+  // symmetric TEC placements such as the dual-chip example's).
+  auto lm = tec::runaway_limit(system, tec::RunawayOptions{tec::RunawayMethod::kSchur});
   if (!lm) {
     throw std::runtime_error("certify_convexity: no finite runaway limit");
   }

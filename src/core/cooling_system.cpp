@@ -2,12 +2,37 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "obs/obs.h"
 
 namespace tfc::core {
 
-DesignResult design_cooling_system(const DesignRequest& request) {
+namespace {
+
+/// The request's worst-case tile powers (a spec may carry its own).
+linalg::Vector request_powers(const DesignRequest& request) {
+  if (request.spec != nullptr && request.tile_powers.size() == 0) {
+    return request.spec->tile_powers();
+  }
+  return request.tile_powers;
+}
+
+/// Table I's full-cover baseline. It depends on neither the θ-limit nor the
+/// greedy outcome, so one run serves every fallback attempt.
+BaselineResult run_full_cover(const DesignRequest& request,
+                              const linalg::Vector& powers) {
+  TFC_SPAN("full_cover");
+  return request.spec != nullptr
+             ? full_cover(request.spec, powers, request.device, request.greedy.current,
+                          request.greedy.engine)
+             : full_cover(request.geometry, powers, request.device,
+                          request.greedy.current, request.greedy.engine);
+}
+
+/// design_cooling_system with the full-cover baseline supplied by the caller
+/// (\p fc; computed here when null and the request asks for it).
+DesignResult design_attempt(const DesignRequest& request, const BaselineResult* fc) {
   TFC_SPAN("design");
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -22,8 +47,7 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   greedy.theta_max = thermal::to_kelvin(request.theta_limit_celsius);
 
   const bool use_spec = request.spec != nullptr;
-  linalg::Vector powers = request.tile_powers;
-  if (use_spec && powers.size() == 0) powers = request.spec->tile_powers();
+  const linalg::Vector powers = request_powers(request);
 
   GreedyDeployResult g = use_spec
                              ? greedy_deploy(request.spec, powers, request.device, greedy)
@@ -40,15 +64,11 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   res.greedy_iterations = g.iterations.size();
 
   if (request.run_full_cover) {
-    TFC_SPAN("full_cover");
-    BaselineResult fc = use_spec
-                            ? full_cover(request.spec, powers, request.device,
-                                         request.greedy.current, request.greedy.engine)
-                            : full_cover(request.geometry, powers, request.device,
-                                         request.greedy.current, request.greedy.engine);
-    res.full_cover_min_peak_celsius = thermal::to_celsius(fc.min_peak_temperature);
-    res.full_cover_current = fc.optimum.current;
-    res.full_cover_power = fc.optimum.tec_input_power;
+    std::optional<BaselineResult> own;
+    if (fc == nullptr) fc = &own.emplace(run_full_cover(request, powers));
+    res.full_cover_min_peak_celsius = thermal::to_celsius(fc->min_peak_temperature);
+    res.full_cover_current = fc->optimum.current;
+    res.full_cover_power = fc->optimum.tec_input_power;
     res.swing_loss_celsius = res.full_cover_min_peak_celsius - res.peak_greedy_celsius;
   }
 
@@ -72,12 +92,28 @@ DesignResult design_cooling_system(const DesignRequest& request) {
   return res;
 }
 
+}  // namespace
+
+DesignResult design_cooling_system(const DesignRequest& request) {
+  return design_attempt(request, nullptr);
+}
+
 FallbackDesignResult design_with_fallback(DesignRequest request) {
   const double max_limit = request.theta_limit_celsius + 25.0;
+  std::optional<BaselineResult> fc;
+  double fc_ms = 0.0;
+  if (request.run_full_cover) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fc = run_full_cover(request, request_powers(request));
+    fc_ms = std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+  }
   FallbackDesignResult result;
   while (true) {
     result.attempted_limits.push_back(request.theta_limit_celsius);
-    static_cast<DesignResult&>(result) = design_cooling_system(request);
+    static_cast<DesignResult&>(result) = design_attempt(request, fc ? &*fc : nullptr);
+    result.runtime_ms += fc_ms;  // the shared baseline is part of every attempt
     if (result.success || request.theta_limit_celsius >= max_limit) return result;
     request.theta_limit_celsius += 1.0;
     TFC_LOG_INFO("design_fallback_relax", {"chip", request.chip_name},

@@ -88,7 +88,8 @@ struct FallbackDesignResult : DesignResult {
 /// design_cooling_system under the paper's fallback policy: while greedy
 /// deployment fails, relax the θ-limit by 1 °C, up to 25 °C above the
 /// request's (paper: HC06 → 89 °C, HC09 → 88 °C). Each relaxation is logged
-/// at INFO (`design_fallback_relax`).
+/// at INFO (`design_fallback_relax`). The full-cover baseline depends on no
+/// θ-limit, so it runs once and every attempt reports the same one.
 FallbackDesignResult design_with_fallback(DesignRequest request);
 
 /// Render a deployment mask as an ASCII tile map ('#' = TEC, '.' = bare),

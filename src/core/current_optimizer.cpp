@@ -45,7 +45,8 @@ void finish_at(const std::function<std::optional<tec::OperatingPoint>(double)>& 
 }  // namespace
 
 SectionSearchResult section_search(const std::function<double(double)>& objective,
-                                   double hi, double tol, std::size_t max_evaluations) {
+                                   double hi, double tol, std::size_t max_evaluations,
+                                   const std::function<double(double)>& exact) {
   constexpr std::size_t k = kSectionProbes;
   SectionSearchResult res;
   double a = 0.0, b = hi;
@@ -63,6 +64,28 @@ SectionSearchResult section_search(const std::function<double(double)>& objectiv
     for (std::size_t j = 1; j < k; ++j) {
       if (fs[j] < fs[m]) m = j;
     }
+    if (exact && std::isfinite(fs[m])) {
+      // A probe outside the band is worse than the surrogate's best on the
+      // exact objective too; inside it, only exact values may decide.
+      const double band = 2.0 * kSurrogateRelTol * std::abs(fs[m]);
+      std::vector<std::size_t> near;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (fs[j] - fs[m] <= band) near.push_back(j);
+      }
+      if (near.size() > 1) {
+        // Serial on the calling thread: one warm workspace serves every
+        // near-tie, where the pool would warm a refactorization workspace
+        // per thread (the surrogate probes need none).
+        std::vector<double> es(near.size());
+        for (std::size_t c = 0; c < near.size(); ++c) es[c] = exact(xs[near[c]]);
+        res.exact_evaluations += near.size();
+        std::size_t best = 0;
+        for (std::size_t c = 1; c < near.size(); ++c) {
+          if (es[c] < es[best]) best = c;
+        }
+        m = near[best];
+      }
+    }
     a = (m == 0) ? a : xs[m - 1];
     b = (m == k - 1) ? b : xs[m + 1];
   }
@@ -73,7 +96,8 @@ SectionSearchResult section_search(const std::function<double(double)>& objectiv
 
 PeakReadout probe_readout(const engine::SolveContext& context) {
   return {[&context](double i) { return context.probe_peak(i); },
-          [&context](double i) { return context.solve_probe(i); }};
+          [&context](double i) { return context.solve_probe(i); },
+          [&context](double i) { return context.refactor_peak(i); }};
 }
 
 CurrentOptimum optimize_current(const engine::SolveContext& context,
@@ -96,18 +120,23 @@ CurrentOptimum optimize_current(const engine::SolveContext& context,
   }
 
   res.lambda_m = context.runaway_limit(options.runaway);
+  std::function<double(double)> exact;
+  if (readout.exact_peak) {
+    exact = [&](double i) { return peak_or_inf(readout.exact_peak(i)); };
+  }
   const SectionSearchResult search = section_search(
       [&](double i) { return peak_or_inf(readout.peak(i)); },
       search_ceiling(context, options, res.lambda_m), options.current_tol,
-      options.max_iterations);
+      options.max_iterations, exact);
   res.current = search.x;
   res.converged = search.converged;
   res.objective_evaluations = search.evaluations;
   finish_at(readout.solve, res);
 
-  obs::MetricsRegistry::global()
-      .histogram("current_opt.objective_evaluations")
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.histogram("current_opt.objective_evaluations")
       .record(double(res.objective_evaluations));
+  metrics.counter("current_opt.exact_evaluations").increment(search.exact_evaluations);
   TFC_LOG_DEBUG("current_optimum", {"current_a", res.current},
                 {"peak_c", thermal::to_celsius(res.peak_tile_temperature)},
                 {"evaluations", res.objective_evaluations}, {"converged", res.converged});

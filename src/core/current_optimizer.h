@@ -28,12 +28,12 @@ struct CurrentOptimizerOptions {
   double current_tol = 1e-4;
   /// Objective-evaluation budget of the search.
   std::size_t max_iterations = 200;
-  /// λ_m computation for the *design* pipeline. Pinned to the Schur
-  /// bisection (mirroring the pinned probe backend): the design JSON embeds
-  /// lambda_m_a at full precision, and pinning keeps `design --json`
-  /// byte-identical no matter which runaway method the engine/service
-  /// default to. The sparse Lanczos agrees to 1e-8 relative — but not to
-  /// the last bit.
+  /// λ_m computation for the *design* pipeline. Pinned to the TEC-block
+  /// eigensolve, which SolveContext reads off the block model its probes
+  /// already use: the design JSON embeds lambda_m_a, and pinning keeps
+  /// `design --json` byte-identical no matter which runaway method the
+  /// engine/service default to. The sparse Lanczos agrees to 1e-8 relative
+  /// — but not to the last bit.
   tec::RunawayOptions runaway{tec::RunawayMethod::kSchur};
 };
 
@@ -52,6 +52,8 @@ struct CurrentOptimum {
 struct SectionSearchResult {
   double x = 0.0;  ///< midpoint of the final bracket
   std::size_t evaluations = 0;
+  /// Near-tie re-evaluations by the exact objective (0 without one).
+  std::size_t exact_evaluations = 0;
   bool converged = false;  ///< final bracket within the tolerance
 };
 
@@ -64,21 +66,39 @@ struct SectionSearchResult {
 /// infeasible point (past λ_m). The probes depend only on the bracket, never
 /// on the pool size, so the result is bit-identical for any thread count.
 /// Exact for unimodal objectives.
+///
+/// When \p exact is given, \p objective is a surrogate of it that agrees to
+/// kSurrogateRelTol relative: every round re-evaluates, with \p exact, the
+/// probes whose surrogate lies within twice that band of the round's
+/// minimum (serially, on the calling thread), and picks the best among
+/// those. The search then takes exactly the steps it would take on \p exact
+/// alone, at the cost of the near-ties.
 SectionSearchResult section_search(const std::function<double(double)>& objective,
-                                   double hi, double tol, std::size_t max_evaluations);
+                                   double hi, double tol, std::size_t max_evaluations,
+                                   const std::function<double(double)>& exact = nullptr);
+
+/// Relative agreement section_search assumes between a surrogate objective
+/// and its exact reference (the block-model probe against the sparse
+/// refactorization agrees to ~1e-11 on every Table-I and example
+/// deployment; the tests hold it to this bound).
+inline constexpr double kSurrogateRelTol = 1e-9;
 
 /// What the current search reads on a fixed deployment at current i: `peak`
 /// is the objective it minimizes (nullopt past λ_m); `solve` is the
 /// read-back at the optimum, whose tile temperatures feed GreedyDeploy's
-/// over-limit test. Both must be pure and safe to call concurrently.
+/// over-limit test; `exact_peak`, when set, is the reference `peak` is a
+/// surrogate of (see section_search). All must be pure and safe to call
+/// concurrently.
 struct PeakReadout {
   std::function<std::optional<double>(double)> peak;
   std::function<std::optional<tec::OperatingPoint>(double)> solve;
+  std::function<std::optional<double>(double)> exact_peak;
 };
 
 /// The installed power map of \p context: the zero-allocation probe_peak
-/// objective and the solve_probe read-back. \p context must outlive the
-/// readout.
+/// objective, its refactor_peak reference and the solve_probe read-back —
+/// the search steps and the result are those of the sparse refactorization,
+/// at block-model probe cost. \p context must outlive the readout.
 PeakReadout probe_readout(const engine::SolveContext& context);
 
 /// Solve Problem 2 for a fixed deployment. For a system without TECs the

@@ -108,6 +108,31 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
   }
   if (shared_start < 0.0) throw std::invalid_argument("optimize_grouped_pins: bad start");
 
+  // A finer grouping must never end worse than a coarser one it refines, so
+  // with more than two groups the descent may also start from the optimum of
+  // the two-tier hotness grouping, whenever that grouping coarsens `groups`
+  // (every group inside one tier). Coordinate descent on a max-of-tiles
+  // objective can stall where a joint move of a whole tier still helps.
+  std::vector<double> tier_seed;
+  if (n_groups > 2) {
+    const std::vector<std::size_t> tiers = hotness_groups(system, 2);
+    std::vector<std::size_t> tier_of(n_groups, 2);
+    bool nested = tiers.size() == m;  // one entry per device (single-stage)
+    for (std::size_t j = 0; j < m && nested; ++j) {
+      std::size_t& t = tier_of[groups[j]];
+      if (t == 2) t = tiers[j];
+      nested = t == tiers[j];
+    }
+    if (nested) {
+      const GroupedPinResult coarse =
+          optimize_grouped_pins(system, tiers, shared_start, options);
+      tier_seed.resize(n_groups);
+      for (std::size_t g = 0; g < n_groups; ++g) {
+        tier_seed[g] = coarse.group_currents[tier_of[g]];
+      }
+    }
+  }
+
   // One context for the whole descent: shared symbolic analysis + pooled
   // workspaces across every coordinate probe.
   const engine::SolveContext context(system);
@@ -137,6 +162,14 @@ GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
     if (!op) throw std::runtime_error("optimize_grouped_pins: passive solve failed");
   }
   double best = op->peak_tile_temperature;
+  if (!tier_seed.empty()) {
+    // The seed's peak is the coarse optimum's, bit for bit (same currents).
+    auto seeded = solve_multi_pin(context, expand(tier_seed));
+    if (seeded && seeded->peak_tile_temperature < best) {
+      best = seeded->peak_tile_temperature;
+      res.group_currents = std::move(tier_seed);
+    }
+  }
 
   for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
     const double before = best;

@@ -49,8 +49,9 @@ std::optional<tec::OperatingPoint> solve_multi_pin(
     const tec::ElectroThermalSystem& system, const std::vector<double>& currents);
 
 /// Coordinate-descent optimization of the per-device currents, starting from
-/// the optimal shared current (so it can only improve on the single-pin
-/// optimum): optimize_grouped_pins with one device per group. Throws
+/// the optimal shared current or the two-tier hotness optimum, whichever is
+/// cooler (so it can only improve on both): optimize_grouped_pins with one
+/// device per group. Throws
 /// std::invalid_argument if the system has no TECs.
 MultiPinResult optimize_multi_pin(const tec::ElectroThermalSystem& system,
                                   double shared_start,
@@ -70,8 +71,11 @@ struct GroupedPinResult {
 /// multi-pin: devices share currents within groups (one extra package pin
 /// per group). \p groups assigns each device (ordered like
 /// model().tec_tiles()) to a group id in [0, n_groups). Coordinate descent
-/// over group currents; each coordinate's probes run concurrently on the
-/// tfc::par pool, bit-identically for any pool size. Throws
+/// over group currents from \p shared_start on every group — or, with more
+/// than two groups that refine the two-tier hotness_groups() split, from
+/// that split's optimum when it is cooler, so the finer grouping is never
+/// worse than the two-tier one. Each coordinate's probes run concurrently on
+/// the tfc::par pool, bit-identically for any pool size. Throws
 /// std::invalid_argument on a malformed assignment or a system without TECs.
 GroupedPinResult optimize_grouped_pins(const tec::ElectroThermalSystem& system,
                                        const std::vector<std::size_t>& groups,

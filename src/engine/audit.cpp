@@ -49,7 +49,10 @@ bool record_audit_metrics(const obs::health::Certificate& cert,
   }
   if (cert.degraded) reg.counter("engine.audit.degraded").increment();
   const bool ok = cert.pass(tolerances);
-  if (!ok && !cert.degraded) {
+  if (!ok && cert.out_of_band(tolerances)) {
+    reg.counter("engine.audit.out_of_band").increment();
+    TFC_LOG_DEBUG("engine_audit_out_of_band", {"certificate", cert.describe()});
+  } else if (!ok && !cert.degraded) {
     reg.counter("engine.audit.violations").increment();
     TFC_LOG_WARN("engine_audit_violation", {"certificate", cert.describe()});
   }

@@ -32,8 +32,10 @@ obs::health::Certificate audit_point(const tec::ElectroThermalSystem& system,
                                      const char* lambda_method = nullptr);
 
 /// Record \p cert into the engine.audit.* metrics: samples/violations
-/// counters (judged against \p tolerances), degraded counter, and the
-/// rel_residual / energy_balance_rel histograms. Returns cert.pass().
+/// counters (judged against \p tolerances), degraded counter, out_of_band
+/// counter (a θ-band excursion with a certified residual and energy balance
+/// — no violation, no WARN), and the rel_residual / energy_balance_rel
+/// histograms. Returns cert.pass().
 bool record_audit_metrics(const obs::health::Certificate& cert,
                           const obs::health::Tolerances& tolerances);
 

@@ -80,11 +80,11 @@ struct EngineOptions {
   /// forces a full rebuild per extension (the pre-engine behaviour).
   bool incremental_restamp = true;
   /// How SolveContext computes the cached runaway limit λ_m (sparse
-  /// shift-invert Lanczos by default, falling back to the Schur reduction
-  /// for tiny TEC sets). Note the *design* λ_m probe stays pinned to the
-  /// Schur bisection (CurrentOptimizerOptions), mirroring the pinned probe
-  /// backend — that is what keeps `design --json` byte-identical across
-  /// runaway methods.
+  /// shift-invert Lanczos by default, falling back to the TEC-block
+  /// eigensolve for tiny TEC sets). Note the *design* λ_m stays pinned to
+  /// the TEC-block eigensolve (CurrentOptimizerOptions), read off the same
+  /// block model as the design probes — that is what keeps `design --json`
+  /// byte-identical across runaway methods.
   tec::RunawayOptions runaway;
   /// Numerical-health audit sampling (see AuditOptions).
   AuditOptions audit;

@@ -78,7 +78,7 @@ void SolveContext::extend(const TileMask& tiles) {
     }
   }
   if (!any) return;
-  invalidate_runaway_cache();
+  invalidate_caches();
 
   if (!options_.incremental_restamp) {
     TileMask next = deployment();
@@ -106,7 +106,7 @@ void SolveContext::set_deployment(const TileMask& deployment) {
     extend(target);
     return;
   }
-  invalidate_runaway_cache();
+  invalidate_caches();
   rebuild(target);
 }
 
@@ -125,13 +125,38 @@ void SolveContext::rebuild(const TileMask& deployment) {
       *model.spec(), deployment, tile_powers, system_.device(), model.tec_stages());
 }
 
-void SolveContext::invalidate_runaway_cache() {
+void SolveContext::invalidate_caches() {
   std::lock_guard<std::mutex> lock(runaway_mutex_);
   runaway_cache_.clear();
+  block_ = std::make_unique<BlockModelCache>();
+}
+
+bool SolveContext::reduced_probes() const {
+  const std::size_t block = 2 * system_.model().hot_nodes().size();
+  return block > 0 && block <= kMaxReducedBlock;
+}
+
+const tec::TecBlockModel& SolveContext::block_model() const {
+  BlockModelCache& cache = *block_;
+  std::call_once(cache.once, [&] {
+    cache.model = std::make_unique<const tec::TecBlockModel>(system_);
+  });
+  return *cache.model;
 }
 
 std::optional<double> SolveContext::probe_peak(double i) const {
   TFC_SPAN("engine_probe");
+  if (reduced_probes()) {
+    const tec::TecBlockModel& model = block_model();
+    obs::MetricsRegistry::global().counter("engine.probe.reduced").increment();
+    WorkspaceLease ws(*this);
+    return model.peak(i, ws->block_y);
+  }
+  return refactor_peak(i);
+}
+
+std::optional<double> SolveContext::refactor_peak(double i) const {
+  TFC_SPAN("engine_refactor_probe");
   const auto t0 = std::chrono::steady_clock::now();
   WorkspaceLease ws(*this);
   std::optional<double> peak;
@@ -295,7 +320,11 @@ std::optional<double> SolveContext::runaway_limit(const tec::RunawayOptions& opt
     }
   }
   tec::RunawayResult r;
-  if (opts.method == tec::RunawayMethod::kSparse) {
+  if (opts.method == tec::RunawayMethod::kSchur && reduced_probes()) {
+    // The probe model carries λ_m from the same reduction — bit-identical
+    // to tec::runaway_limit(system, kSchur).
+    r.lambda_m = block_model().lambda_m();
+  } else if (opts.method == tec::RunawayMethod::kSparse) {
     // Draw the Lanczos scratch from the pooled workspaces so repeated λ_m
     // requests of one context run allocation-free.
     WorkspaceLease ws(*this);

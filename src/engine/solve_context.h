@@ -4,16 +4,19 @@
 ///
 /// A SolveContext owns the assembled tec::ElectroThermalSystem for one
 /// deployment, the shared symbolic Cholesky analysis, the cached runaway
-/// limit λ_m, and a pool of preallocated solve workspaces (pencil, factor,
-/// rhs/θ buffers), so the current-probe hot path of Problem 2 runs with zero
+/// limit λ_m, the lazily built spectral TEC-block model (tec/block_model.h)
+/// and a pool of preallocated solve workspaces (pencil, factor, rhs/θ
+/// buffers), so the current-probe hot path of Problem 2 runs with zero
 /// allocations. Deployments only ever grow during greedy deployment
 /// (Figure 5), so extend() re-stamps the package network incrementally
 /// (PackageModel::extend_tec) instead of re-deriving every conductance from
 /// geometry — bit-identical to a from-scratch assembly, asserted in Debug.
 ///
-/// Point solves dispatch over the runtime-selected thermal::Backend; the
-/// design/probe
-/// path is pinned to the direct sparse factorization (see EngineOptions).
+/// Point solves dispatch over the runtime-selected thermal::Backend.
+/// probe_peak — the design search's objective — runs on the block model
+/// whenever the TEC block is at most kMaxReducedBlock rows, and on the
+/// direct sparse factorization otherwise; solve_probe (the design's
+/// read-back) always refactors.
 #pragma once
 
 #include <atomic>
@@ -28,6 +31,7 @@
 #include "common/tile.h"
 #include "engine/backend.h"
 #include "linalg/vector.h"
+#include "tec/block_model.h"
 #include "tec/electro_thermal.h"
 #include "tec/runaway.h"
 #include "thermal/package.h"
@@ -42,6 +46,14 @@ namespace tfc::engine {
 /// and set_deployment() mutate the context and must not race any solve.
 class SolveContext {
  public:
+  /// Largest TEC block (2 × hot nodes) probe_peak reduces. The model's cost
+  /// beyond the λ_m eigenvalues the design needs anyway grows as (2m)³,
+  /// against the ~50 refactorizations it saves per section search; in
+  /// Release on one thread it is ≈ 27 Table-I refactorizations at
+  /// 2m = 288 (full cover) and ≤ 11 refactorizations of a 24×24 package up
+  /// to 2m = 648.
+  static constexpr std::size_t kMaxReducedBlock = 512;
+
   /// Assemble the system for \p deployment (may be empty) on the single-die
   /// package \p geometry with \p tile_powers installed; same as the spec
   /// constructor on StackSpec::single_die(geometry).
@@ -73,7 +85,8 @@ class SolveContext {
   /// fully covered \p tiles is a no-op). The purely additive delta is
   /// re-stamped incrementally when options().incremental_restamp is on
   /// (metric engine.restamp.incremental), otherwise the model is rebuilt
-  /// from the spec (engine.restamp.full). Invalidates the λ_m cache.
+  /// from the spec (engine.restamp.full). Invalidates the λ_m cache and the
+  /// block model.
   void extend(const TileMask& tiles);
 
   /// Move to an arbitrary \p deployment: additive supersets of the current
@@ -82,13 +95,22 @@ class SolveContext {
   void set_deployment(const TileMask& deployment);
 
   /// Zero-allocation positive-definiteness + peak-temperature probe at
-  /// current \p i via the direct sparse refactorization: nullopt when
-  /// G − i·D is not positive definite (i ≥ λ_m) or i < 0, else the peak
-  /// silicon tile temperature [K]. The Problem 2 objective.
+  /// current \p i: nullopt when G − i·D is not positive definite
+  /// (i ≥ λ_m) or i < 0, else the peak silicon tile temperature [K]. The
+  /// Problem 2 objective. Runs on the block model (built on first use,
+  /// O(tiles·2m) per probe, counter engine.probe.reduced) when the TEC block
+  /// has at most kMaxReducedBlock rows, else on the direct sparse
+  /// refactorization. The two agree to ~1e-11 relative.
   std::optional<double> probe_peak(double i) const;
 
-  /// Full operating point via the direct sparse refactorization (the same
-  /// pinned probe backend as probe_peak; workspace-pooled).
+  /// probe_peak through the direct sparse refactorization, whatever the
+  /// block size: the reference the block-model probe is a surrogate of
+  /// (core::section_search breaks its near-ties with it).
+  std::optional<double> refactor_peak(double i) const;
+
+  /// Full operating point via the direct sparse refactorization
+  /// (workspace-pooled): the certified read-back behind every design
+  /// result.
   std::optional<tec::OperatingPoint> solve_probe(double i) const;
 
   /// Point solve dispatched over options().backend. CG reports loss of
@@ -122,7 +144,9 @@ class SolveContext {
   /// Runaway limit λ_m of the current deployment with the context's own
   /// options().runaway (nullopt: none). Cached; invalidated by
   /// extend()/set_deployment(). Sparse computations draw their Lanczos
-  /// scratch from the pooled workspaces (engine.runaway.* counters).
+  /// scratch from the pooled workspaces (engine.runaway.* counters); kSchur
+  /// reads λ_m off the block model probe_peak uses (bit-identical to
+  /// tec::runaway_limit with kSchur).
   std::optional<double> runaway_limit() const;
 
   /// As above with explicit options, cached per
@@ -158,7 +182,14 @@ class SolveContext {
 
   /// Full rebuild from the spec (the non-incremental path).
   void rebuild(const TileMask& deployment);
-  void invalidate_runaway_cache();
+  /// Drop every per-deployment cache: λ_m entries and the block model.
+  void invalidate_caches();
+
+  /// True when probe_peak runs on the block model.
+  bool reduced_probes() const;
+
+  /// The block model of the current deployment, built on first use.
+  const tec::TecBlockModel& block_model() const;
 
   /// cached_runaway_method() as a stable name, nullptr when cold — the
   /// lambda_method the auditor stamps on its certificates.
@@ -191,6 +222,14 @@ class SolveContext {
   };
   mutable std::mutex runaway_mutex_;
   mutable std::vector<RunawayCacheEntry> runaway_cache_;
+
+  // Block model, built once per deployment (call_once); extend() and
+  // set_deployment() replace the holder, and never race a probe.
+  struct BlockModelCache {
+    std::once_flag once;
+    std::unique_ptr<const tec::TecBlockModel> model;
+  };
+  mutable std::unique_ptr<BlockModelCache> block_ = std::make_unique<BlockModelCache>();
 
   // Audit sampling tick (relaxed — sampling needs no ordering).
   mutable std::atomic<std::uint64_t> audit_seq_{0};

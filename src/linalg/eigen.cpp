@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "linalg/cholesky.h"
@@ -53,6 +54,198 @@ std::vector<double> jacobi_eigenvalues(const DenseMatrix& a_in, double tol,
   for (std::size_t i = 0; i < n; ++i) evals[i] = a(i, i);
   std::sort(evals.begin(), evals.end());
   return evals;
+}
+
+SymmetricEigen symmetric_eigen(const DenseMatrix& a, bool vectors) {
+  if (!a.square()) throw std::invalid_argument("symmetric_eigen: matrix not square");
+  const std::size_t n = a.rows();
+  SymmetricEigen out;
+  if (n == 0) return out;
+
+  // Working matrix V, stored column-major (V(r, c) = v[c·n + r]) so that
+  // every O(n³) loop below — Householder updates, the back-accumulation and
+  // the QL rotations — walks a column contiguously.
+  DenseMatrix work(n, n);
+  double* const v = &work(0, 0);
+  const auto V = [v, n](std::size_t r, std::size_t c) -> double& { return v[c * n + r]; };
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c <= r; ++c) V(r, c) = V(c, r) = a(r, c);
+  }
+  std::vector<double> d(n), e(n);
+
+  // tred2: Householder reduction to tridiagonal form (diagonal d,
+  // subdiagonal e), reflectors kept in V.
+  for (std::size_t j = 0; j < n; ++j) d[j] = V(n - 1, j);
+  for (std::size_t i = n - 1; i > 0; --i) {
+    double scale = 0.0;
+    double h = 0.0;
+    for (std::size_t k = 0; k < i; ++k) scale += std::abs(d[k]);
+    if (scale == 0.0) {
+      e[i] = d[i - 1];
+      for (std::size_t j = 0; j < i; ++j) {
+        d[j] = V(i - 1, j);
+        V(i, j) = 0.0;
+        V(j, i) = 0.0;
+      }
+    } else {
+      for (std::size_t k = 0; k < i; ++k) {
+        d[k] /= scale;
+        h += d[k] * d[k];
+      }
+      double f = d[i - 1];
+      double g = std::sqrt(h);
+      if (f > 0.0) g = -g;
+      e[i] = scale * g;
+      h -= f * g;
+      d[i - 1] = f - g;
+      for (std::size_t j = 0; j < i; ++j) e[j] = 0.0;
+      for (std::size_t j = 0; j < i; ++j) {
+        f = d[j];
+        V(j, i) = f;
+        g = e[j] + V(j, j) * f;
+        for (std::size_t k = j + 1; k < i; ++k) {
+          g += V(k, j) * d[k];
+          e[k] += V(k, j) * f;
+        }
+        e[j] = g;
+      }
+      f = 0.0;
+      for (std::size_t j = 0; j < i; ++j) {
+        e[j] /= h;
+        f += e[j] * d[j];
+      }
+      const double hh = f / (h + h);
+      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
+      for (std::size_t j = 0; j < i; ++j) {
+        f = d[j];
+        g = e[j];
+        for (std::size_t k = j; k < i; ++k) V(k, j) -= f * e[k] + g * d[k];
+        d[j] = V(i - 1, j);
+        V(i, j) = 0.0;
+      }
+    }
+    d[i] = h;
+  }
+  if (vectors) {
+    // Accumulate the reflectors into the orthogonal basis.
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      V(n - 1, i) = V(i, i);
+      V(i, i) = 1.0;
+      const double h = d[i + 1];
+      if (h != 0.0) {
+        for (std::size_t k = 0; k <= i; ++k) d[k] = V(k, i + 1) / h;
+        for (std::size_t j = 0; j <= i; ++j) {
+          double g = 0.0;
+          for (std::size_t k = 0; k <= i; ++k) g += V(k, i + 1) * V(k, j);
+          for (std::size_t k = 0; k <= i; ++k) V(k, j) -= g * d[k];
+        }
+      }
+      for (std::size_t k = 0; k <= i; ++k) V(k, i + 1) = 0.0;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      d[j] = V(n - 1, j);
+      V(n - 1, j) = 0.0;
+    }
+    V(n - 1, n - 1) = 1.0;
+  } else {
+    // The accumulation above only relays the diagonal through row n − 1.
+    for (std::size_t j = 0; j < n; ++j) d[j] = V(j, j);
+  }
+  e[0] = 0.0;
+
+  // tql2: implicit QL with Wilkinson shifts on the tridiagonal (d, e).
+  for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr std::size_t kMaxSweeps = 30;
+  double f = 0.0;
+  double tst1 = 0.0;
+  for (std::size_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::abs(d[l]) + std::abs(e[l]));
+    std::size_t m = l;
+    while (m < n - 1 && std::abs(e[m]) > kEps * tst1) ++m;
+    if (m > l) {
+      std::size_t sweeps = 0;
+      do {
+        if (++sweeps > kMaxSweeps) {
+          throw std::runtime_error("symmetric_eigen: QL iteration did not converge");
+        }
+        double g = d[l];
+        double p = (d[l + 1] - g) / (2.0 * e[l]);
+        double r = std::hypot(p, 1.0);
+        if (p < 0.0) r = -r;
+        d[l] = e[l] / (p + r);
+        d[l + 1] = e[l] * (p + r);
+        const double dl1 = d[l + 1];
+        double h = g - d[l];
+        for (std::size_t i = l + 2; i < n; ++i) d[i] -= h;
+        f += h;
+
+        p = d[m];
+        double c = 1.0, c2 = 1.0, c3 = 1.0;
+        const double el1 = e[l + 1];
+        double s = 0.0, s2 = 0.0;
+        for (std::size_t i = m; i-- > l;) {
+          c3 = c2;
+          c2 = c;
+          s2 = s;
+          g = c * e[i];
+          h = c * p;
+          r = std::hypot(p, e[i]);
+          e[i + 1] = s * r;
+          s = e[i] / r;
+          c = p / r;
+          p = c * d[i] - s * g;
+          d[i + 1] = h + s * (c * g + s * d[i]);
+          if (vectors) {
+            double* vi = &V(0, i);
+            double* vi1 = &V(0, i + 1);
+            for (std::size_t k = 0; k < n; ++k) {
+              const double t = vi1[k];
+              vi1[k] = s * vi[k] + c * t;
+              vi[k] = c * vi[k] - s * t;
+            }
+          }
+        }
+        p = -s * s2 * c3 * el1 * e[l] / dl1;
+        e[l] = s * p;
+        d[l] = c * p;
+      } while (std::abs(e[l]) > kEps * tst1);
+    }
+    d[l] += f;
+    e[l] = 0.0;
+  }
+
+  // Ascending order; ties keep their QL position (deterministic).
+  std::vector<std::size_t> order(n);
+  for (std::size_t k = 0; k < n; ++k) order[k] = k;
+  std::stable_sort(order.begin(), order.end(),
+                   [&d](std::size_t x, std::size_t y) { return d[x] < d[y]; });
+  out.values.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out.values[k] = d[order[k]];
+  if (vectors) {
+    // Sort the columns of V in place (cycle by cycle, one column of
+    // scratch), then transpose in place: `work` becomes Q, row-major.
+    std::vector<double> held(n);
+    std::vector<bool> placed(n, false);
+    for (std::size_t start = 0; start < n; ++start) {
+      if (placed[start] || order[start] == start) continue;
+      std::copy(v + start * n, v + (start + 1) * n, held.begin());
+      std::size_t k = start;
+      while (order[k] != start) {
+        std::copy(v + order[k] * n, v + (order[k] + 1) * n, v + k * n);
+        placed[k] = true;
+        k = order[k];
+      }
+      std::copy(held.begin(), held.end(), v + k * n);
+      placed[k] = true;
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = r + 1; c < n; ++c) std::swap(v[r * n + c], v[c * n + r]);
+    }
+    out.vectors = std::move(work);
+  }
+  return out;
 }
 
 PowerIterationResult power_iteration(const DenseMatrix& a, std::size_t max_iterations,

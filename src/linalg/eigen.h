@@ -1,10 +1,11 @@
 /// \file eigen.h
 /// \brief Symmetric eigenvalue utilities.
 ///
-/// Two consumers: (1) the runaway-limit λ_m = min{θᵀGθ : θᵀDθ = 1}, which is
-/// the smallest positive generalized eigenvalue of the pencil (G, D)
-/// (Theorem 1), found by bisection on positive definiteness of G − λD; and
-/// (2) test oracles (full Jacobi spectra of small matrices).
+/// Three consumers: (1) the spectral TEC-block model (tec/block_model.h),
+/// which decomposes its 2m×2m reduced matrix with symmetric_eigen(); (2) the
+/// paper-faithful λ_m oracle, bisection on positive definiteness of G − λD
+/// (Theorem 1); and (3) test oracles (full Jacobi spectra of small
+/// matrices).
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,23 @@ namespace tfc::linalg {
 /// rotation method. Intended for small/medium n (test oracles, Schur blocks).
 std::vector<double> jacobi_eigenvalues(const DenseMatrix& a, double tol = 1e-12,
                                        std::size_t max_sweeps = 100);
+
+/// Eigen-decomposition A = Q·diag(values)·Qᵀ of a symmetric matrix.
+struct SymmetricEigen {
+  /// Eigenvalues, ascending.
+  std::vector<double> values;
+  /// Orthonormal eigenvectors, column k ↔ values[k]; empty when only the
+  /// values were requested.
+  DenseMatrix vectors;
+};
+
+/// Householder tridiagonalization plus implicit QL with Wilkinson shifts
+/// (the EISPACK tred2/tql2 pair), serial and therefore bit-reproducible.
+/// O(n³): ≈ 4/3·n³ flops for the values, ≈ 3× that with \p vectors. Only
+/// the lower triangle of \p a is read. The eigenvalues are bit-identical
+/// with and without \p vectors. Throws std::runtime_error if QL fails to
+/// converge (30 sweeps per eigenvalue).
+SymmetricEigen symmetric_eigen(const DenseMatrix& a, bool vectors = true);
 
 /// Largest-magnitude eigenvalue by power iteration (symmetric \p a).
 struct PowerIterationResult {
@@ -53,7 +71,9 @@ std::optional<double> spd_condition_estimate(const DenseMatrix& a,
 /// (G − λD stays PD for all probed λ, i.e. D has no positive direction).
 ///
 /// Paper-faithful implementation: binary search with a Cholesky PD probe
-/// (Section V.C.1). The initial upper bracket grows geometrically.
+/// (Section V.C.1). The initial upper bracket grows geometrically. Kept as
+/// the oracle of RunawayMethod::kDenseBisect; the production λ_m paths are
+/// the spectral TEC-block reduction and sparse Lanczos.
 std::optional<double> pencil_smallest_positive_eigenvalue(
     const DenseMatrix& g, const DenseMatrix& d,
     const PencilBisectionOptions& opts = {});

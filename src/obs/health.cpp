@@ -17,18 +17,30 @@ std::string ratio(double v) {
 
 }  // namespace
 
+namespace {
+
+bool theta_in_band(const Certificate& c, const Tolerances& tol) {
+  return c.theta_min_k >= tol.theta_min_k && c.theta_max_k <= tol.theta_max_k;
+}
+
+/// Every judgement except the θ sanity band.
+bool certified(const Certificate& c, const Tolerances& tol) {
+  if (c.degraded) return false;
+  if (c.rel_residual >= 0.0 && c.rel_residual > tol.max_rel_residual) return false;
+  if (c.energy_balance_rel >= 0.0 && c.energy_balance_rel > tol.max_energy_balance_rel) {
+    return false;
+  }
+  return !(c.has_lambda_margin && c.lambda_margin_a <= 0.0);
+}
+
+}  // namespace
+
 bool Certificate::pass(const Tolerances& tol) const {
-  if (degraded) return false;
-  if (rel_residual >= 0.0 && rel_residual > tol.max_rel_residual) return false;
-  if (energy_balance_rel >= 0.0 &&
-      energy_balance_rel > tol.max_energy_balance_rel) {
-    return false;
-  }
-  if (theta_min_k < tol.theta_min_k || theta_max_k > tol.theta_max_k) {
-    return false;
-  }
-  if (has_lambda_margin && lambda_margin_a <= 0.0) return false;
-  return true;
+  return certified(*this, tol) && theta_in_band(*this, tol);
+}
+
+bool Certificate::out_of_band(const Tolerances& tol) const {
+  return certified(*this, tol) && !theta_in_band(*this, tol);
 }
 
 std::string Certificate::describe() const {
@@ -73,7 +85,7 @@ void HealthMonitor::push_outcome(Scope& scope, Outcome outcome) {
 
 bool HealthMonitor::record_certificate(const std::string& scope_name,
                                        const Certificate& cert) {
-  const bool ok = cert.pass(tolerances_);
+  const bool ok = cert.pass(tolerances_) || cert.out_of_band(tolerances_);
   std::lock_guard<std::mutex> lock(mutex_);
   Scope& scope = scopes_[scope_name];
   ++scope.stats.samples;

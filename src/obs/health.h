@@ -71,6 +71,12 @@ struct Certificate {
   /// True iff every *computed* field is within \p tol and not degraded.
   bool pass(const Tolerances& tol) const;
 
+  /// True when the θ sanity band is the only judgement that fails: the
+  /// residual and the energy balance certify the solve, so the excursion is
+  /// the physics of a current near λ_m (Theorem 2), not a broken solve.
+  /// Counted as out-of-band, never as a violation.
+  bool out_of_band(const Tolerances& tol) const;
+
   /// Compact `key=value` summary for WARN logs and error details.
   std::string describe() const;
 };
@@ -113,8 +119,8 @@ class HealthMonitor {
   const Tolerances& tolerances() const { return tolerances_; }
   std::size_t window() const { return window_; }
 
-  /// Record one certificate under \p scope; returns whether it passed the
-  /// monitor's tolerances (false = violation recorded).
+  /// Record one certificate under \p scope; returns false iff it was
+  /// recorded as a violation (an out-of-band certificate counts as ok).
   bool record_certificate(const std::string& scope, const Certificate& cert);
 
   /// Record one backend cross-check under \p scope: \p drift is the relative

@@ -87,6 +87,7 @@ void register_metrics() {
   m.histogram("svc.audit.cross_check_drift");
   m.counter("engine.audit.samples");
   m.counter("engine.audit.violations");
+  m.counter("engine.audit.out_of_band");
   m.counter("engine.audit.degraded");
   m.counter("engine.cg.nonconverged");
   m.histogram("engine.audit.rel_residual");

@@ -70,6 +70,8 @@ struct SolveWorkspace {
   linalg::Vector solve_scratch;
   /// Per-tile temperature buffer for peak-only probes.
   linalg::Vector tiles;
+  /// Block coefficients y of the reduced probe (TecBlockModel::peak).
+  linalg::Vector block_y;
   /// Scratch of the sparse runaway eigensolve (RunawayMethod::kSparse) —
   /// pencil, factor and Lanczos basis, warmed on the first λ_m request of
   /// the pool and allocation-free afterwards.

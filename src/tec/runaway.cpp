@@ -6,8 +6,8 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/eigen.h"
-#include "linalg/sparse_cholesky.h"
 #include "obs/obs.h"
+#include "tec/block_model.h"
 
 namespace tfc::tec {
 
@@ -31,68 +31,20 @@ const char* runaway_method_list() { return "sparse|schur|dense"; }
 
 SchurReduction schur_reduction(const ElectroThermalSystem& system) {
   TFC_SPAN("schur_reduction");
-  const auto& hot = system.model().hot_nodes();
-  const auto& cold = system.model().cold_nodes();
-  if (hot.empty()) {
-    throw std::invalid_argument("schur_reduction: system has no TEC devices");
-  }
-
+  const linalg::DenseMatrix h = tec_block_greens(system);
+  const auto h_chol = linalg::CholeskyFactor::factor(h);
+  if (!h_chol) throw std::runtime_error("schur_reduction: G not positive definite");
   SchurReduction red;
-  red.tec_nodes = hot;
+  red.tec_nodes = system.model().hot_nodes();
+  const auto& cold = system.model().cold_nodes();
   red.tec_nodes.insert(red.tec_nodes.end(), cold.begin(), cold.end());
   const std::size_t m = red.tec_nodes.size();
-  const std::size_t n = system.node_count();
-
-  // Mark TEC rows; build the N (non-TEC) index map.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> to_t(n, kNone), to_n(n, kNone);
-  for (std::size_t k = 0; k < m; ++k) to_t[red.tec_nodes[k]] = k;
-  std::size_t nn = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (to_t[k] == kNone) to_n[k] = nn++;
+  // S₀ = H⁻¹, symmetrized against the rounding of the dense inverse.
+  const linalg::DenseMatrix inv = h_chol->inverse();
+  red.s0 = linalg::DenseMatrix(m, m);
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < m; ++c) red.s0(r, c) = 0.5 * (inv(r, c) + inv(c, r));
   }
-
-  // Extract blocks of G.
-  const auto& g = system.matrix_g();
-  const auto& rp = g.row_ptr();
-  const auto& ci = g.col_idx();
-  const auto& vals = g.values();
-  linalg::TripletList t_nn(nn, nn);
-  linalg::DenseMatrix g_tt(m, m);
-  linalg::DenseMatrix g_nt(nn, m);  // N rows, T columns
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      const std::size_t c = ci[k];
-      const double v = vals[k];
-      if (to_t[r] != kNone && to_t[c] != kNone) {
-        g_tt(to_t[r], to_t[c]) += v;
-      } else if (to_t[r] == kNone && to_t[c] == kNone) {
-        t_nn.add(to_n[r], to_n[c], v);
-      } else if (to_t[r] == kNone) {
-        g_nt(to_n[r], to_t[c]) += v;
-      }
-      // T-row/N-col entries are the transpose of g_nt (G symmetric).
-    }
-  }
-
-  auto f_nn = linalg::SparseCholeskyFactor::factor(linalg::SparseMatrix::from_triplets(t_nn));
-  if (!f_nn) {
-    throw std::runtime_error("schur_reduction: G_NN not positive definite");
-  }
-
-  // S0 = G_TT - G_NTᵀ · G_NN⁻¹ · G_NT, column by column.
-  red.s0 = g_tt;
-  for (std::size_t j = 0; j < m; ++j) {
-    linalg::Vector col(nn);
-    for (std::size_t r = 0; r < nn; ++r) col[r] = g_nt(r, j);
-    linalg::Vector x = f_nn->solve(col);
-    for (std::size_t i2 = 0; i2 < m; ++i2) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < nn; ++r) acc += g_nt(r, i2) * x[r];
-      red.s0(i2, j) -= acc;
-    }
-  }
-
   red.d_diag = linalg::Vector(m);
   const auto& d_full = system.d_diagonal();
   for (std::size_t k = 0; k < m; ++k) red.d_diag[k] = d_full[red.tec_nodes[k]];
@@ -114,9 +66,6 @@ RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
   TFC_SPAN("runaway_limit");
   obs::MetricsRegistry::global().counter("runaway.calls").increment();
 
-  linalg::PencilBisectionOptions bis;
-  bis.rel_tol = options.rel_tol;
-
   const auto report = [&system, &res](std::optional<double> lm) {
     if (lm) {
       obs::MetricsRegistry::global().gauge("runaway.lambda_m").set(*lm);
@@ -132,8 +81,8 @@ RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
   RunawayMethod method = options.method;
   if (method == RunawayMethod::kSparse &&
       system.device_count() < options.sparse_min_devices) {
-    // Tiny TEC set: the reduced dense pencil is a handful of rows — the
-    // Schur reduction beats any sparse machinery there.
+    // Tiny TEC set: the reduced block is a handful of rows — the block
+    // eigensolve beats any sparse machinery there.
     method = RunawayMethod::kSchur;
     res.method_used = method;
   }
@@ -150,15 +99,11 @@ RunawayResult runaway_limit_ex(const ElectroThermalSystem& system,
       res.iterations = lanczos->iterations;
       return report(lanczos->eigenvalue);
     }
-    case RunawayMethod::kSchur: {
-      SchurReduction red = schur_reduction(system);
-      if (!linalg::is_positive_definite(red.s0)) {
-        throw std::runtime_error("runaway_limit: Schur complement not positive definite");
-      }
-      return report(linalg::pencil_smallest_positive_eigenvalue(
-          red.s0, linalg::DenseMatrix::diagonal(red.d_diag), bis));
-    }
+    case RunawayMethod::kSchur:
+      return report(reduced_runaway_limit(system));
     case RunawayMethod::kDenseBisect: {
+      linalg::PencilBisectionOptions bis;
+      bis.rel_tol = options.rel_tol;
       const auto g = system.matrix_g().to_dense();
       const auto d = linalg::DenseMatrix::diagonal(system.d_diagonal());
       return report(linalg::pencil_smallest_positive_eigenvalue(g, d, bis));

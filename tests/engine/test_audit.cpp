@@ -195,6 +195,26 @@ TEST(Audit, RecordAuditMetricsCountsSamplesViolationsAndDegraded) {
   EXPECT_EQ(m.counter("engine.audit.degraded").value(), degraded0 + 1);
 }
 
+TEST(Audit, ThetaBandExcursionCountsOutOfBandNotViolation) {
+  auto& m = obs::MetricsRegistry::global();
+  EngineOptions opts;
+  opts.audit.enabled = false;  // count only the explicit record below
+  const SolveContext ctx = make_context(opts);
+  auto op = ctx.solve(1.0);
+  ASSERT_TRUE(op.has_value());
+  const auto violations0 = m.counter("engine.audit.violations").value();
+  const auto out0 = m.counter("engine.audit.out_of_band").value();
+
+  // A band far below the solved temperatures: only the sanity band fails.
+  obs::health::Tolerances tight;
+  tight.theta_max_k = 200.0;
+  const auto cert = audit_point(ctx.system(), *op);
+  EXPECT_TRUE(cert.out_of_band(tight));
+  EXPECT_FALSE(record_audit_metrics(cert, tight));
+  EXPECT_EQ(m.counter("engine.audit.violations").value(), violations0);
+  EXPECT_EQ(m.counter("engine.audit.out_of_band").value(), out0 + 1);
+}
+
 TEST(Audit, CgIterationCapThrowsTypedErrorAndCounts) {
   EngineOptions opts;
   opts.backend = thermal::Backend::kCg;

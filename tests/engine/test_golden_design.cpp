@@ -1,9 +1,10 @@
 /// Engine-vs-pre-engine golden test (extends the PR 2 determinism suite):
 /// `tfcool design --json` must be byte-identical to the fixtures captured at
 /// the pre-engine HEAD for alpha21364 and hc3, and stay byte-identical
-/// across every --backend and across thread counts. The design probe path is
-/// pinned to the direct sparse Cholesky refactorization precisely so the
-/// backend choice cannot perturb this output.
+/// across every --backend and across thread counts. The design probe path
+/// never runs on the selectable backend (the TEC-block model, with near-ties
+/// and the read-back on the direct sparse Cholesky refactorization)
+/// precisely so the backend choice cannot perturb this output.
 #include <gtest/gtest.h>
 
 #include <cstdio>

@@ -4,8 +4,9 @@
 ///    PackageModel::extend_tec checks the same predicate on every extend);
 ///  * every backend agrees on the operating point and on where positive
 ///    definiteness is lost (i ≥ λ_m);
-///  * the pooled-workspace probe path returns exactly what a plain
-///    ElectroThermalSystem::solve returns.
+///  * the pooled-workspace refactor probe returns exactly what a plain
+///    ElectroThermalSystem::solve returns, and the block-model probe agrees
+///    with it to the surrogate tolerance the design search relies on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -135,13 +136,19 @@ TEST(SolveContext, SetDeploymentHandlesNonAdditiveDelta) {
 TEST(SolveContext, ProbePeakMatchesSolveProbe) {
   const SolveContext ctx = make_context();
   for (double i : {0.0, 0.3, 1.7}) {
+    auto exact = ctx.refactor_peak(i);
     auto peak = ctx.probe_peak(i);
     auto op = ctx.solve_probe(i);
+    ASSERT_TRUE(exact.has_value());
     ASSERT_TRUE(peak.has_value());
     ASSERT_TRUE(op.has_value());
-    EXPECT_EQ(*peak, op->peak_tile_temperature) << "i=" << i;
+    EXPECT_EQ(*exact, op->peak_tile_temperature) << "i=" << i;
+    // The block-model probe (2m = 4 here) is the design search's surrogate.
+    EXPECT_NEAR(*peak, op->peak_tile_temperature,
+                1e-9 * op->peak_tile_temperature) << "i=" << i;
   }
   EXPECT_FALSE(ctx.probe_peak(-1.0).has_value());
+  EXPECT_FALSE(ctx.refactor_peak(-1.0).has_value());
 }
 
 TEST(SolveContext, AllBackendsAgreeOnTheOperatingPoint) {

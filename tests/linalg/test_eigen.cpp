@@ -151,5 +151,90 @@ TEST(PencilBisection, GeneralPencilCrossCheckedWithEigenDecomposition) {
   EXPECT_NEAR(*lm, 1.0 / mu_max, 1e-6 / mu_max);
 }
 
+/// Random symmetric matrix with entries in [-1, 1].
+DenseMatrix random_symmetric(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  DenseMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) a(i, j) = a(j, i) = u(rng);
+  }
+  return a;
+}
+
+class SymmetricEigenSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SymmetricEigenSizes, ValuesMatchJacobiOracle) {
+  const std::size_t n = GetParam();
+  const DenseMatrix a = random_symmetric(n, 100 + n);
+  const auto eig = symmetric_eigen(a);
+  const auto oracle = jacobi_eigenvalues(a, 1e-14);
+  ASSERT_EQ(eig.values.size(), n);
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(eig.values[k], oracle[k], 1e-11 * std::max(1.0, std::abs(oracle[k])));
+    if (k > 0) {
+      EXPECT_LE(eig.values[k - 1], eig.values[k]);  // ascending
+    }
+  }
+}
+
+TEST_P(SymmetricEigenSizes, VectorsAreOrthonormalAndDiagonalize) {
+  const std::size_t n = GetParam();
+  const DenseMatrix a = random_symmetric(n, 200 + n);
+  const auto eig = symmetric_eigen(a);
+  const DenseMatrix& q = eig.vectors;
+  ASSERT_EQ(q.rows(), n);
+  ASSERT_EQ(q.cols(), n);
+  const DenseMatrix qtq = q.transposed() * q;
+  EXPECT_LT(qtq.max_abs_diff(DenseMatrix::identity(n)), 1e-12 * double(n));
+  const DenseMatrix aq = a * q;
+  double worst = 0.0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = 0; k < n; ++k) {
+      worst = std::max(worst, std::abs(aq(r, k) - q(r, k) * eig.values[k]));
+    }
+  }
+  EXPECT_LT(worst, 1e-12 * double(n));
+}
+
+TEST_P(SymmetricEigenSizes, ValuesOnlyAreBitIdenticalToFullDecomposition) {
+  const std::size_t n = GetParam();
+  const DenseMatrix a = random_symmetric(n, 300 + n);
+  const auto full = symmetric_eigen(a, /*vectors=*/true);
+  const auto values = symmetric_eigen(a, /*vectors=*/false);
+  EXPECT_EQ(values.values, full.values);
+  EXPECT_EQ(values.vectors.rows(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SymmetricEigenSizes,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{5},
+                                           std::size_t{24}, std::size_t{80}));
+
+TEST(SymmetricEigen, RepeatedAndZeroEigenvalues) {
+  // diag(2, 0, 2, -1) rotated by a fixed orthogonal matrix keeps its
+  // repeated and zero eigenvalues.
+  const DenseMatrix d = DenseMatrix::diagonal(Vector{2.0, 0.0, 2.0, -1.0});
+  const auto q = symmetric_eigen(random_symmetric(4, 7)).vectors;
+  const DenseMatrix a = q * d * q.transposed();
+  const auto eig = symmetric_eigen(a);
+  const double want[] = {-1.0, 0.0, 2.0, 2.0};
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_NEAR(eig.values[k], want[k], 1e-13);
+}
+
+TEST(SymmetricEigen, AgreesWithJacobiOnStieltjesMatrix) {
+  std::mt19937_64 rng(41);
+  const DenseMatrix a = random_pd_stieltjes(30, rng);
+  const auto eig = symmetric_eigen(a);
+  const auto oracle = jacobi_eigenvalues(a, 1e-14);
+  for (std::size_t k = 0; k < 30; ++k) {
+    EXPECT_NEAR(eig.values[k], oracle[k], 1e-11 * std::abs(oracle.back()));
+  }
+}
+
+TEST(SymmetricEigen, EmptyAndNonSquare) {
+  EXPECT_TRUE(symmetric_eigen(DenseMatrix(0, 0)).values.empty());
+  EXPECT_THROW(symmetric_eigen(DenseMatrix(2, 3)), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace tfc::linalg

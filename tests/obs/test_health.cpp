@@ -57,6 +57,40 @@ TEST(Certificate, EachComputedFieldIsJudged) {
   EXPECT_FALSE(c.pass(tol));
 }
 
+TEST(Certificate, ThetaBandExcursionAloneIsOutOfBand) {
+  const Tolerances tol;
+  Certificate c = good_certificate();
+  EXPECT_FALSE(c.out_of_band(tol));  // in band: a plain pass
+
+  c.theta_max_k = 1562.0;  // near λ_m, certified residual and balance
+  EXPECT_FALSE(c.pass(tol));
+  EXPECT_TRUE(c.out_of_band(tol));
+
+  // Any failed certificate besides the band makes it a violation.
+  Certificate bad = c;
+  bad.rel_residual = 1e-3;
+  EXPECT_FALSE(bad.out_of_band(tol));
+  bad = c;
+  bad.energy_balance_rel = 1.0;
+  EXPECT_FALSE(bad.out_of_band(tol));
+  bad = c;
+  bad.lambda_margin_a = -0.5;
+  EXPECT_FALSE(bad.out_of_band(tol));
+  bad = c;
+  bad.degraded = true;
+  EXPECT_FALSE(bad.out_of_band(tol));
+}
+
+TEST(HealthMonitor, OutOfBandCertificateIsNoViolation) {
+  HealthMonitor monitor;
+  Certificate c = good_certificate();
+  c.theta_max_k = 1562.0;
+  EXPECT_TRUE(monitor.record_certificate("a", c));
+  EXPECT_EQ(monitor.verdict(), Verdict::kGreen);
+  EXPECT_EQ(monitor.total_violations(), 0u);
+  EXPECT_EQ(monitor.total_samples(), 1u);
+}
+
 TEST(Certificate, DescribeNamesTheJudgedQuantities) {
   const std::string text = good_certificate().describe();
   EXPECT_NE(text.find("rel_residual"), std::string::npos);

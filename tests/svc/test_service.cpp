@@ -646,6 +646,34 @@ TEST(Service, HealthMethodReportsGreenOverUnixAndTcp) {
             result.at("samples").as_number());
 }
 
+TEST(Service, DefaultSweepNearRunawayStaysHealthy) {
+  // A default sweep runs to 0.95·λ_m, where alpha's hottest node passes the
+  // audit's 1000 K sanity band with a certified residual and energy balance:
+  // out-of-band physics, not a violation.
+  ServerOptions o = quick_options("sweephealth");
+  o.audit_every = 1;
+  ServerFixture fx(o);
+  auto client = Client::connect_unix(o.socket_path);
+  auto& m = obs::MetricsRegistry::global();
+  const auto violations0 = m.counter("engine.audit.violations").value();
+  const auto out0 = m.counter("engine.audit.out_of_band").value();
+
+  auto sweep = client.call("sweep");
+  ASSERT_TRUE(sweep.at("ok").as_bool()) << sweep.dump();
+  const auto& currents = sweep.at("result").at("current_a").as_array();
+  ASSERT_FALSE(currents.empty());
+  const double hottest = currents.back().as_number();
+  auto solve = client.call("solve", alpha_solve_params(hottest));
+  ASSERT_TRUE(solve.at("ok").as_bool()) << solve.dump();
+
+  EXPECT_EQ(m.counter("engine.audit.violations").value(), violations0);
+  EXPECT_GT(m.counter("engine.audit.out_of_band").value(), out0);
+  auto reply = client.call("health");
+  ASSERT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+  EXPECT_EQ(reply.at("result").at("verdict").as_string(), "green");
+  EXPECT_DOUBLE_EQ(reply.at("result").at("violations").as_number(), 0.0);
+}
+
 TEST(Service, InjectedDriftFlipsVerdictAndCountsViolations) {
   ServerOptions o = quick_options("inject");
   o.audit_every = 1;

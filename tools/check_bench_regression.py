@@ -210,6 +210,32 @@ def check_runaway(baseline, current):
     return failures
 
 
+def check_reduced_probe(baseline, current):
+    """Gate the design-search probe on the designed Alpha deployment.
+
+    One check against ci/bench_baseline.json's reduced_probe block: a
+    machine-independent floor on the sparse-refactorization / block-model
+    probe-time ratio — the point of the spectral TEC-block model is that a
+    probe costs O(tiles·2m) instead of a sparse refactorization.
+    """
+    base = baseline.get("reduced_probe")
+    if base is None:
+        return []
+    cur = current.get("reduced_probe")
+    if cur is None:
+        print("reduced probe: MISSING from current bench output")
+        return [fail("reduced_probe", None, None)]
+    ratio = float(cur["sparse_over_reduced_ratio"])
+    floor = float(base["min_sparse_over_reduced_ratio"])
+    status = "ok" if ratio >= floor else "REGRESSED (ratio floor %.0fx)" % floor
+    print("design probe on Alpha: %.3f ms sparse vs %.4f ms block model "
+          "(%.0fx, floor %.0fx)  %s"
+          % (float(cur["sparse_ms"]), float(cur["reduced_ms"]), ratio, floor, status))
+    if ratio < floor:
+        return [fail("reduced_probe:sparse_over_reduced_ratio", ratio, floor, ">=")]
+    return []
+
+
 def check_sim(baseline, current):
     """Gate the tfc::sim transient scenario integrator's per-step cost.
 
@@ -370,6 +396,7 @@ def main():
     failures += check_backends(baseline, current)
     failures += check_audit(baseline, current)
     failures += check_runaway(baseline, current)
+    failures += check_reduced_probe(baseline, current)
     failures += check_sim(baseline, current)
     failures += check_stack_scale(baseline, current)
     failures += check_profile(baseline, current)
